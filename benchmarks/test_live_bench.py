@@ -19,7 +19,9 @@ Environment knobs:
 
 - ``LIVE_BENCH_CORPUS=small`` restricts to a three-benchmark smoke
   subset (the CI benchmark job uses this);
-- ``LIVE_BENCH_OUT`` overrides the JSON output path.
+- ``LIVE_BENCH_OUT`` overrides the JSON output path (default the
+  git-ignored ``BENCH_live_fresh.json``; point it at ``BENCH_live.json``
+  to re-record the committed baseline).
 """
 
 import json
@@ -120,7 +122,7 @@ def test_live_bench(capsys):
         },
         "rows": rows,
     }
-    out_path = os.environ.get("LIVE_BENCH_OUT", "BENCH_live.json")
+    out_path = os.environ.get("LIVE_BENCH_OUT", "BENCH_live_fresh.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -24,7 +24,9 @@ zero-error gates are unconditional.
 
 Environment knobs:
 
-- ``SERVICE_BENCH_OUT`` -- output path (default ``BENCH_service.json``);
+- ``SERVICE_BENCH_OUT`` -- output path (default the git-ignored
+  ``BENCH_service_fresh.json``; point it at ``BENCH_service.json`` to
+  re-record the committed baseline);
 - ``SERVICE_BENCH_JOBS`` -- jobs per pass (default 12; CI smoke uses
   fewer);
 - ``SERVICE_BENCH_CONCURRENCY`` -- closed-loop clients (default 8);
@@ -284,7 +286,7 @@ def test_service_scaling(tmp_path, capsys):
         "differential": differential,
         "fairness": fairness,
     }
-    out_path = os.environ.get("SERVICE_BENCH_OUT", "BENCH_service.json")
+    out_path = os.environ.get("SERVICE_BENCH_OUT", "BENCH_service_fresh.json")
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

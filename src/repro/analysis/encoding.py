@@ -785,11 +785,6 @@ class PairSession:
     level needs it.  A repeat query at a new level then reduces to a
     single assumption-based solve that retains the learned clauses and
     VSIDS activity of every earlier query on the triple.
-
-    Sessions pickle by shedding their warm state (solver, groups,
-    disjuncts): a worker that receives one over a process boundary
-    re-warms it on first query, so the ``ProcessPoolExecutor`` path
-    stays viable without serialising solver internals.
     """
 
     # (ConsistencyLevel flag, axiom assertion method) in the exact order
@@ -1167,32 +1162,6 @@ class PairSession:
         self._groups = {}
         self._encoder = None
         self._disjuncts = None
-        self._models = []
-        self._static_candidates = None
-        self._witness_by_model = {}
-
-    # -- pickling (ProcessPool path) ------------------------------------
-
-    def __getstate__(self):
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "summary_b": self.summary_b,
-            "distinct_args": self.distinct_args,
-            "queries": self.queries,
-            "model_hits": self.model_hits,
-        }
-
-    def __setstate__(self, state) -> None:
-        self.c1 = state["c1"]
-        self.c2 = state["c2"]
-        self.summary_b = state["summary_b"]
-        self.distinct_args = state["distinct_args"]
-        self.queries = state["queries"]
-        self.model_hits = state["model_hits"]
-        self._encoder = None
-        self._disjuncts = None
-        self._groups = {}
         self._models = []
         self._static_candidates = None
         self._witness_by_model = {}

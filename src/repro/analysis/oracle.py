@@ -129,10 +129,6 @@ class OracleSession:
     and a warm session is far heavier than a cache entry (a full solver
     with its clause database).  The default cap bounds a long repair
     fixpoint's memory; shrink it for memory-constrained runs.
-
-    The pool pickles cleanly: each session sheds its warm solver state
-    on serialisation and re-warms on first use, so a ``ProcessPool``
-    worker can receive a pool and rebuild only what it actually queries.
     """
 
     def __init__(self, distinct_args: bool = True, max_sessions: int = 4096):
@@ -301,18 +297,6 @@ class AnomalyOracle:
       axiom groups by assumption, retaining learned clauses and
       variable activity across the repair fixpoint and the level
       sweeps.
-    - ``"parallel"``: the pipeline with a cold ``ProcessPoolExecutor``
-      fan-out (degrading to in-process on single-core hosts) plus the
-      memo cache.
-    - ``"parallel-incremental"``: sharded warm-session workers -- one
-      long-lived process per shard, each owning its own
-      :class:`OracleSession` pool, with queries routed by the focus
-      triple's structural fingerprint so every level sweep and fixpoint
-      re-analysis of a triple lands on the same warm solver.  Degrades
-      to the in-process incremental path on single-core hosts.
-    - ``"auto"``: ``"parallel-incremental"`` when multiple cores are
-      available, else ``"incremental"``; the resolved choice is
-      recorded in :attr:`AnalysisReport.strategy`.
     - any object with a ``run(specs, level, distinct_args)`` method.
 
     Every strategy produces the same pair set; ``cache`` (a
@@ -328,7 +312,6 @@ class AnomalyOracle:
         distinct_args: bool = True,
         strategy: object = "serial",
         cache: Optional[object] = None,
-        max_workers: Optional[int] = None,
         progress=None,
         budget=None,
     ):
@@ -349,7 +332,6 @@ class AnomalyOracle:
                 distinct_args=distinct_args,
                 strategy=strategy,
                 cache=cache,
-                max_workers=max_workers,
                 progress=progress,
                 budget=budget,
             )
@@ -360,13 +342,13 @@ class AnomalyOracle:
         return self._pipeline.cache if self._pipeline is not None else None
 
     def close(self) -> None:
-        """Release strategy resources (worker pools); serial is a no-op."""
+        """Release strategy resources (warm sessions); serial is a no-op."""
         if self._pipeline is not None:
             self._pipeline.close()
 
     def analyze_many(self, programs) -> List[AnalysisReport]:
-        """Analyze several programs, deduplicating and fanning their SAT
-        queries out together (see :meth:`~repro.analysis.pipeline.
+        """Analyze several programs, deduplicating their SAT queries and
+        solving them together (see :meth:`~repro.analysis.pipeline.
         AnalysisPipeline.analyze_many`).  The serial seed path has no
         batching machinery and simply analyzes in order."""
         if self._pipeline is not None:

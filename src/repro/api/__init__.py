@@ -17,7 +17,7 @@ module::
 
     from repro.api import Workspace, AnalyzeRequest, RepairRequest
 
-    with Workspace(strategy="auto", cache_dir=".cache") as ws:
+    with Workspace(strategy="incremental", cache_dir=".cache") as ws:
         verdict = ws.analyze(AnalyzeRequest(benchmark="Courseware"))
         fix = ws.repair(RepairRequest(benchmark="Courseware"))
         print(fix.repaired_program)

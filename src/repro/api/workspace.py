@@ -7,9 +7,9 @@ experiment drivers under :mod:`repro.exp`, the CLI, and the HTTP service
 -- is a thin wrapper over a workspace.  The workspace owns exactly the
 state worth sharing between calls:
 
-- one resolved oracle **execution strategy** (for the warm strategies
+- one resolved oracle **execution strategy** (for ``"incremental"``
   that means the long-lived :class:`~repro.analysis.oracle.OracleSession`
-  pools / shard workers survive across requests);
+  pool of warm solver sessions survives across requests);
 - one **memo cache** (optionally a
   :class:`~repro.analysis.pipeline.PersistentQueryCache` under
   ``cache_dir``, shared by every analysis the workspace runs);
@@ -26,9 +26,9 @@ Two API tiers coexist deliberately:
   :mod:`repro.api.types`, which is what the service serializes.
 
 A workspace is thread-safe: calls serialize on an internal lock (the
-solver sessions and memo cache are single-threaded structures; the
-parallelism lives *inside* a strategy's worker processes, not across
-API callers).  Results are independent of the execution strategy by
+solver sessions and memo cache are single-threaded structures; a
+service that wants parallelism runs one workspace per worker process).
+Results are independent of the execution strategy by
 hard test gate, so any two workspaces agree on every verdict and plan.
 """
 
@@ -58,52 +58,36 @@ from repro.budget import Budget
 from repro.errors import DeadlineExceededError
 
 #: Strategy names the façade accepts (``None`` means :data:`DEFAULT_STRATEGY`).
-STRATEGIES = (
-    "serial",
-    "cached",
-    "parallel",
-    "incremental",
-    "parallel-incremental",
-    "auto",
-)
+STRATEGIES = ("serial", "cached", "incremental")
 
-#: What a workspace runs when the caller does not choose: ``"auto"``
-#: picks the fastest strategy for the host and records its pick.
-DEFAULT_STRATEGY = "auto"
+#: What a workspace runs when the caller does not choose: the warm
+#: in-process sessions, the fastest strategy measured.
+DEFAULT_STRATEGY = "incremental"
 
 
 def requested_strategy(
-    strategy: Optional[str],
-    cache_dir: Optional[str] = None,
-    workers: Optional[int] = None,
+    strategy: Optional[str], cache_dir: Optional[str] = None
 ) -> Tuple[str, Optional[str]]:
     """The CLI/default strategy contract, in one place.
 
     Returns ``(effective_strategy, note)``.  The seed ``"serial"`` loop
-    has no cache and no pool, so ``--cache-dir``/``--workers`` silently
-    doing nothing under the *implicit* default would betray their
-    contract: an unset strategy upgrades to ``"auto"`` (with a note
-    saying so) whenever either flag is given.  An **explicit**
-    ``"serial"`` is always respected -- the flags are then genuinely
-    unused, the note says so, and the caller must not open a cache or a
-    pool on their behalf.
+    has no cache, so ``--cache-dir`` silently doing nothing under the
+    *implicit* default would betray its contract: an unset strategy
+    upgrades to :data:`DEFAULT_STRATEGY` (with a note saying so) when
+    the flag is given.  An **explicit** ``"serial"`` is always
+    respected -- the flag is then genuinely unused, the note says so,
+    and the caller must not open a cache on its behalf.
     """
-    flags = [
-        flag
-        for flag, value in (("--cache-dir", cache_dir), ("--workers", workers))
-        if value
-    ]
-    if flags:
-        joined = "/".join(flags)
+    if cache_dir:
         if strategy is None:
-            return "auto", (
-                f"note: {joined} needs a caching strategy; "
-                "using --strategy auto (pass --strategy to override)"
+            return DEFAULT_STRATEGY, (
+                "note: --cache-dir needs a caching strategy; using "
+                f"--strategy {DEFAULT_STRATEGY} (pass --strategy to override)"
             )
         if strategy == "serial":
             return "serial", (
-                "note: --strategy serial runs the uncached, single-"
-                f"threaded seed loop; {joined} ignored"
+                "note: --strategy serial runs the uncached seed loop; "
+                "--cache-dir ignored"
             )
     return strategy or "serial", None
 
@@ -130,7 +114,6 @@ class WorkspaceConfig:
 
     strategy: str = DEFAULT_STRATEGY
     cache_dir: Optional[str] = None
-    max_workers: Optional[int] = None
     search: str = "greedy"
     use_prefilter: bool = True
     distinct_args: bool = True
@@ -140,7 +123,6 @@ class WorkspaceConfig:
         return Workspace(
             strategy=self.strategy,
             cache_dir=self.cache_dir,
-            max_workers=self.max_workers,
             search=self.search,
             use_prefilter=self.use_prefilter,
             distinct_args=self.distinct_args,
@@ -187,8 +169,8 @@ class Workspace:
     memo cache -- persistent under ``cache_dir`` when given.
 
     ``strategy="serial"`` selects the seed oracle loop: no pipeline, no
-    cache, no pool -- the reference configuration the differential tests
-    compare everything else against.
+    cache, no warm sessions -- the reference configuration the
+    differential tests compare everything else against.
     """
 
     def __init__(
@@ -196,7 +178,6 @@ class Workspace:
         strategy: object = DEFAULT_STRATEGY,
         cache: Optional[object] = None,
         cache_dir: Optional[str] = None,
-        max_workers: Optional[int] = None,
         search: object = "greedy",
         use_prefilter: bool = True,
         distinct_args: bool = True,
@@ -211,7 +192,6 @@ class Workspace:
         self.search = search
         self.use_prefilter = use_prefilter
         self.distinct_args = distinct_args
-        self.max_workers = max_workers
         self._serial = strategy == "serial"
         self._owns_runner = isinstance(strategy, str) and not self._serial
         self._owns_cache = False
@@ -220,19 +200,10 @@ class Workspace:
             self.cache = None
         else:
             self._runner = (
-                resolve_strategy(strategy, max_workers)
-                if self._owns_runner
-                else strategy
+                resolve_strategy(strategy) if self._owns_runner else strategy
             )
             if cache is None:
-                try:
-                    cache = make_query_cache(cache_dir)
-                except BaseException:
-                    # A failed cache open (unwritable cache_dir) must not
-                    # orphan the worker pool the line above spawned.
-                    if self._owns_runner:
-                        self._runner.close()
-                    raise
+                cache = make_query_cache(cache_dir)
                 self._owns_cache = True
             self.cache = cache
         self._lock = threading.RLock()
@@ -253,7 +224,7 @@ class Workspace:
         return getattr(self._runner, "name", type(self._runner).__name__)
 
     def close(self) -> None:
-        """Release owned resources (worker pools, the persistent cache).
+        """Release owned resources (warm sessions, the persistent cache).
         Caller-provided strategy/cache instances are left running."""
         with self._lock:
             if self._closed:
@@ -423,7 +394,6 @@ class Workspace:
                 strategy="serial" if self._serial else self._runner,
                 cache=self.cache,
                 search=self.search if search is None else search,
-                max_workers=self.max_workers,
                 progress=on_progress,
                 budget=budget,
                 **search_options,
@@ -650,7 +620,7 @@ class Workspace:
 
     def stats(self) -> dict:
         """Operational counters for ``/v1/stats``: cache hit rates,
-        warm-session/shard counters, request totals."""
+        warm-session counters, request totals."""
         from repro import __version__
 
         with self._lock:
@@ -664,13 +634,8 @@ class Workspace:
                     "persistent_hits": getattr(cache, "persistent_hits", 0),
                     "entries": len(cache),
                 }
-            sessions: Dict[str, int] = {}
-            counters = getattr(self._runner, "counters", None)
-            if callable(counters):
-                sessions = dict(counters())
             pool = getattr(self._runner, "pool", None)
-            if not sessions and pool is not None and hasattr(pool, "counters"):
-                sessions = dict(pool.counters())
+            sessions = dict(pool.counters()) if pool is not None else {}
             return {
                 "version": __version__,
                 "strategy": self.strategy_name,

@@ -57,7 +57,10 @@ class LiveInterceptor:
 
     def __init__(self, ruleset: RuleSet):
         self.ruleset = ruleset
-        self._envs: Dict[int, _ShadowEnv] = {}
+        # Keyed by the instance itself (identity hash), which keeps it
+        # alive: an id() key outlives a freed instance, and the next
+        # instance allocated at that address would inherit its env.
+        self._envs: Dict[Instance, _ShadowEnv] = {}
 
     # The scheduler calls the executor exactly like execute_command.
     def __call__(
@@ -108,14 +111,14 @@ class LiveInterceptor:
     # -- shadow bookkeeping ------------------------------------------------
 
     def _env(self, instance: Instance) -> _ShadowEnv:
-        env = self._envs.get(id(instance))
+        env = self._envs.get(instance)
         if env is None:
             shadow = Instance(instance.iid, self.ruleset.live_program, instance.call)
             # Share the loop-counter stack so live expressions see the
             # original instance's iteration state.
             shadow.iter_stack = instance.iter_stack
             env = _ShadowEnv(shadow=shadow)
-            self._envs[id(instance)] = env
+            self._envs[instance] = env
         return env
 
     # -- binding translation ----------------------------------------------

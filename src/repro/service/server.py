@@ -533,6 +533,9 @@ class ReproService:
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     quiet = True
+    # Headers and body go out as separate small writes; with Nagle on,
+    # a keep-alive client's delayed ACK holds the body back ~40 ms.
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ReproService:

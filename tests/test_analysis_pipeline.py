@@ -10,18 +10,22 @@ from repro.analysis import (
     QueryCache,
     QueryPlanner,
     RR,
+    SC,
     summarize_program,
 )
 from repro.analysis.pipeline import (
     IncrementalStrategy,
-    ParallelIncrementalStrategy,
-    ParallelStrategy,
     SerialStrategy,
     fingerprint_command,
     fingerprint_summary,
     resolve_strategy,
+    solve_query,
 )
+from repro.corpus import BY_NAME
 from repro.lang import parse_program
+
+#: The pipeline strategies; each must reproduce the serial seed oracle.
+PIPELINE_STRATEGIES = ("cached", "incremental")
 
 
 def canonical(pairs):
@@ -183,17 +187,6 @@ class TestStrategyEquivalence:
         assert canonical(serial.pairs) == canonical(cached.pairs)
         assert serial.pairs_checked == cached.pairs_checked
 
-    def test_parallel_matches_serial(self, courseware):
-        serial = AnomalyOracle(EC).analyze(courseware)
-        oracle = AnomalyOracle(
-            EC, strategy=ParallelStrategy(max_workers=2)
-        )
-        try:
-            parallel = oracle.analyze(courseware)
-        finally:
-            oracle.close()
-        assert canonical(serial.pairs) == canonical(parallel.pairs)
-
     def test_prefilter_knob_is_result_neutral(self, courseware):
         with_screen = AnomalyOracle(
             EC, use_prefilter=True, strategy="cached"
@@ -215,14 +208,6 @@ class TestStrategyResolution:
     def test_names_resolve(self):
         assert isinstance(resolve_strategy("cached"), SerialStrategy)
         assert isinstance(resolve_strategy("incremental"), IncrementalStrategy)
-        assert isinstance(resolve_strategy("parallel"), ParallelStrategy)
-        auto = resolve_strategy("auto")
-        # Multi-core hosts get the sharded warm-session pool;
-        # single-core hosts use in-process warm sessions.
-        assert isinstance(
-            auto, (IncrementalStrategy, ParallelIncrementalStrategy)
-        )
-        auto.close()
 
     def test_instance_passthrough(self):
         runner = SerialStrategy()
@@ -232,12 +217,10 @@ class TestStrategyResolution:
         with pytest.raises(ValueError):
             resolve_strategy("warp-speed")
 
-    def test_single_worker_parallel_degrades_in_process(self, courseware):
-        strategy = ParallelStrategy(max_workers=1)
-        oracle = AnomalyOracle(EC, strategy=strategy)
-        report = oracle.analyze(courseware)
-        assert strategy._executor is None  # never spun up a pool
-        assert len(report.pairs) == 5
+    @pytest.mark.parametrize("name", ["auto", "parallel", "parallel-incremental"])
+    def test_removed_names_rejected(self, name):
+        with pytest.raises(ValueError):
+            resolve_strategy(name)
 
 
 class TestRepairEngineIntegration:
@@ -255,3 +238,132 @@ class TestRepairEngineIntegration:
             o.action for o in cached.outcomes
         ]
         assert cache.hits > 0  # the fixpoint re-analyses hit the memo
+
+
+class TestReportEquivalence:
+    @pytest.mark.parametrize("name", ["Courseware", "SmallBank", "TPC-C"])
+    def test_identical_pairs_vs_serial(self, name):
+        program = BY_NAME[name].program()
+        serial = AnomalyOracle(EC).analyze(program)
+        for strategy in PIPELINE_STRATEGIES:
+            oracle = AnomalyOracle(EC, strategy=strategy)
+            try:
+                report = oracle.analyze(program)
+            finally:
+                oracle.close()
+            assert canonical(serial.pairs) == canonical(report.pairs)
+            assert serial.pairs_checked == report.pairs_checked
+            assert report.strategy == strategy
+
+    def test_analyze_many_matches_per_program_analyze(self, courseware):
+        """Regression: batched specs from several plans carry colliding
+        plan-local indexes; results must land on the right specs."""
+        from repro.repair.engine import repair
+
+        repaired = repair(courseware).repaired_program
+        for strategy in PIPELINE_STRATEGIES:
+            oracle = AnomalyOracle(EC, strategy=strategy)
+            try:
+                batched = oracle.analyze_many([courseware, repaired])
+            finally:
+                oracle.close()
+            for program, report in zip([courseware, repaired], batched):
+                solo = AnomalyOracle(EC).analyze(program)
+                assert canonical(solo.pairs) == canonical(report.pairs)
+
+    def test_serial_oracle_analyze_many(self, courseware):
+        oracle = AnomalyOracle(EC)
+        reports = oracle.analyze_many([courseware, courseware])
+        solo = oracle.analyze(courseware)
+        for report in reports:
+            assert canonical(report.pairs) == canonical(solo.pairs)
+
+
+class TestIncrementalSweeps:
+    def test_sessions_never_rebuilt_cold_twice(self, courseware):
+        """Level sweeps on one strategy instance reuse each triple's
+        warm session instead of re-creating it."""
+        strategy = IncrementalStrategy()
+        summaries = summarize_program(courseware)
+        planner = QueryPlanner()
+        total_specs = 0
+        try:
+            for level in (EC, CC, RR, SC):
+                specs = planner.plan(summaries, level, True).queries()
+                total_specs += len(specs)
+                strategy.run(specs, level, True)
+            counters = strategy.pool.counters()
+        finally:
+            strategy.close()
+        triples = {
+            spec.cache_key[:3]
+            for spec in planner.plan(summaries, EC, True).queries()
+        }
+        # One session per distinct triple, ever -- the later level
+        # sweeps only reuse; every spec still got answered.
+        assert counters["created"] == len(triples)
+        assert counters["reused"] == total_specs - len(triples)
+        assert counters["queries"] == total_specs
+
+    def test_run_levels_sweep_matches_cold_verdicts(self, courseware):
+        summaries = summarize_program(courseware)
+        specs = QueryPlanner().plan(summaries, EC, True).queries()
+        sweep = [(EC, CC, RR) for _ in specs]
+        strategy = IncrementalStrategy()
+        try:
+            swept = strategy.run_levels(specs, sweep, True)
+        finally:
+            strategy.close()
+        assert len(swept) == len(specs)
+        for spec, outs in zip(specs, swept):
+            assert len(outs) == 3
+            for level, outcome in zip((EC, CC, RR), outs):
+                cold = solve_query(
+                    spec.c1, spec.c2, spec.summary_b, level, True
+                )
+                assert (cold.witness is None) == (outcome.witness is None)
+                if level is EC and outcome.witness is not None:
+                    # The first EC solve of a virgin session matches the
+                    # cold solver bit for bit.
+                    assert outcome.witness == cold.witness
+
+
+class TestBeamFanOut:
+    def test_beam_search_identical_across_strategies(self, courseware):
+        from repro.repair.engine import repair
+
+        def signature(report):
+            return (
+                [step.kind for step in report.plan],
+                canonical(report.initial_pairs),
+                canonical(report.residual_pairs),
+                [o.action for o in report.outcomes],
+            )
+
+        serial = repair(courseware, search="beam", width=3)
+        for strategy in PIPELINE_STRATEGIES:
+            batched = repair(
+                courseware, strategy=strategy, search="beam", width=3
+            )
+            assert signature(serial) == signature(batched), strategy
+
+    def test_evaluate_many_matches_evaluate(self, courseware):
+        from repro.repair.engine import repair
+        from repro.repair.plan import PlanContext
+        from repro.repair.search import CostModel
+
+        repaired = repair(courseware).repaired_program
+        model = CostModel()
+        oracle = AnomalyOracle(EC, strategy="incremental")
+        try:
+            items = [
+                (courseware, PlanContext()),
+                (repaired, PlanContext()),
+            ]
+            batched = model.evaluate_many(items, oracle)
+            for (program, ctx), (cost, pairs) in zip(items, batched):
+                solo_cost, solo_pairs = model.evaluate(program, ctx, oracle)
+                assert solo_cost == cost
+                assert canonical(solo_pairs) == canonical(pairs)
+        finally:
+            oracle.close()

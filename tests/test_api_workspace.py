@@ -307,11 +307,10 @@ class TestStrategyContract:
     def test_default_stays_serial(self):
         assert requested_strategy(None) == ("serial", None)
 
-    def test_flags_upgrade_default_to_auto(self):
+    def test_cache_dir_upgrades_default_to_incremental(self):
         strategy, note = requested_strategy(None, cache_dir="/tmp/x")
-        assert strategy == "auto" and "--cache-dir" in note
-        strategy, note = requested_strategy(None, workers=2)
-        assert strategy == "auto" and "--workers" in note
+        assert strategy == "incremental" and "--cache-dir" in note
+        assert "using --strategy incremental" in note
 
     def test_explicit_serial_is_respected(self):
         strategy, note = requested_strategy("serial", cache_dir="/tmp/x")

@@ -102,20 +102,25 @@ class TestRunningCancel:
         """Slow the solver down (seeded delay faults), catch the job
         mid-run, cancel, and watch it land terminal ``cancelled`` --
         the acceptance criterion for cooperative cancellation."""
+        # The solver delay only fires inside long solves; the delay on
+        # every progress-event write keeps even a short job running
+        # past the cancel, whatever earlier tests left warm.
         plan = FaultPlan(
             0,
             [
                 FaultRule(
                     site="solver.propagate", action="delay",
                     p=1.0, times=0, delay_s=0.02,
-                )
+                ),
+                FaultRule(
+                    site="events.write", action="delay",
+                    p=1.0, times=0, delay_s=0.1,
+                ),
             ],
         )
         faults.activate(plan)
         # The incremental strategy solves in *this* process, where the
-        # delay plan is active -- an auto/parallel workspace would do
-        # its solver work in pool processes the plan never slows down,
-        # and the job could outrun the cancel.
+        # delay plan is active, so the job cannot outrun the cancel.
         workspace = Workspace(strategy="incremental")
         service = ReproService(workspace)
         try:

@@ -174,7 +174,7 @@ class TestBenchCommand:
             == 0
         )
         out = capsys.readouterr().out
-        assert "using --strategy auto" in out
+        assert "using --strategy incremental" in out
         # An explicit --strategy serial is respected, with a note that
         # the cache dir is unused.
         assert (
@@ -193,39 +193,13 @@ class TestBenchCommand:
         )
         out = capsys.readouterr().out
         assert "--cache-dir ignored" in out
-        # --workers under the default strategy upgrades the same way.
-        assert main(["table1", "--benchmark", "SIBench", "--workers", "2"]) == 0
-        assert "using --strategy auto" in capsys.readouterr().out
-
-    def test_bench_parallel_incremental_strategy(self, tmp_path, capsys):
-        out_file = tmp_path / "bench.json"
-        assert (
-            main(
-                [
-                    "bench",
-                    "--benchmark",
-                    "SIBench",
-                    "--strategy",
-                    "parallel-incremental",
-                    "--workers",
-                    "2",
-                    "--json",
-                    str(out_file),
-                ]
-            )
-            == 0
-        )
-        data = json.loads(out_file.read_text())
-        assert data["strategy"] == "parallel-incremental[2]"
-        (row,) = data["rows"]
-        assert row["plan_steps"] == 2
 
 
 class TestStrategyContract:
     """Regression tests for the --strategy None-vs-"serial" footgun: an
     explicit serial must make the flags *genuinely* unused -- no cache
     created on disk, no cache summary printed -- while the implicit
-    default upgrades to auto per the documented contract."""
+    default upgrades to incremental per the documented contract."""
 
     def test_explicit_serial_opens_no_cache(self, tmp_path, capsys):
         import os
@@ -286,7 +260,7 @@ class TestStrategyContract:
             == 0
         )
         out = capsys.readouterr().out
-        assert "using --strategy auto" in out
+        assert "using --strategy incremental" in out
         assert "cache:" in out
         assert (cache_dir / "oracle_cache.sqlite").exists()
 
@@ -311,16 +285,16 @@ class TestStrategyContract:
                     "--plan-in",
                     str(plan_file),
                     "--strategy",
-                    "parallel-incremental",
-                    "--workers",
-                    "2",
+                    "incremental",
+                    "--cache-dir",
+                    str(tmp_path / "cache"),
                 ]
             )
             == 0
         )
         out = capsys.readouterr().out
         assert "--plan-in replays" in out
-        assert "--strategy/--workers ignored" in out
+        assert "--strategy/--cache-dir ignored" in out
 
 
 class TestSchemasCommand:

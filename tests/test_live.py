@@ -100,6 +100,15 @@ class TestInterceptor:
         _, static, live = self._serial_pair(name)
         assert static.results == live.results
 
+    def test_distinct_instances_never_share_a_shadow(self, monkeypatch):
+        """Shadow envs must not be keyed by a reusable address: with
+        every id() colliding, each instance still gets its own env."""
+        import repro.live.intercept as intercept
+
+        monkeypatch.setattr(intercept, "id", lambda obj: 0, raising=False)
+        _, static, live = self._serial_pair("SmallBank")
+        assert static.results == live.results
+
     def test_counters_account_for_every_issuance(self):
         ruleset, _, _ = self._serial_pair("Courseware")
         counters = ruleset.counters()
@@ -289,6 +298,18 @@ class TestWorkspaceProtect:
         ) as fh:
             schema = json.load(fh)
         assert not list(iter_violations(protect_result.to_json(), schema))
+
+    def test_repeated_protect_always_matches_serially(self):
+        """Many protect calls in one process: freed instances' addresses
+        get reused, and no call may inherit another call's arguments."""
+        bench = BY_NAME["SmallBank"]
+        with Workspace(strategy="serial") as ws:
+            plan = ws.repair_program(bench.program()).plan.to_json()
+            request = LiveProtectRequest(
+                benchmark="SmallBank", plan=plan, samples=4, seed=7
+            )
+            for _ in range(40):
+                assert ws.protect(request).serial_match
 
     def test_protect_program_accepts_external_plan(self):
         bench = BY_NAME["SIBench"]

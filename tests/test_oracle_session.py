@@ -15,7 +15,6 @@ some violation disjunct), i.e. a cold solver pinned to that model would
 accept it and report exactly that witness.
 """
 
-import pickle
 import random
 
 import pytest
@@ -29,16 +28,6 @@ from repro.smt.formula import And, FormulaBuilder, Or, evaluate
 from repro.smt.solver import Solver, lit, stats_delta
 
 ALL_LEVELS = (EC, CC, RR, SC)
-
-
-def _witness_fields(witness):
-    if witness is None:
-        return None
-    return (
-        witness.pattern,
-        tuple(sorted(witness.fields1)),
-        tuple(sorted(witness.fields2)),
-    )
 
 
 class TestDifferential:
@@ -469,14 +458,6 @@ class TestPairSessionLifecycle:
                         return session, (c1, c2, other), witness
         raise AssertionError("corpus has no solvable pair")
 
-    def test_pickle_sheds_warm_state_and_rewarms(self):
-        session, (c1, c2, other), witness = self._session()
-        assert session.warmed
-        clone = pickle.loads(pickle.dumps(session))
-        assert not clone.warmed
-        rewitness, _, _ = clone.query(EC)
-        assert _witness_fields(rewitness) == _witness_fields(witness)
-
     def test_levels_share_one_warm_solver(self):
         session, _, _ = self._session()
         solver = session._encoder.builder.solver
@@ -539,15 +520,3 @@ class TestOracleSessionPool:
         counters = pool.counters()
         assert counters["live"] <= 2
         assert counters["evicted"] >= made - 2
-
-    def test_pool_pickles_and_rewarms(self):
-        summaries = summarize_program(BY_NAME["Courseware"].program())
-        pool = OracleSession()
-        for summary in summaries.values():
-            for c1, c2 in summary.ordered_pairs():
-                for other in summaries.values():
-                    pool.solve(c1, c2, other, EC)
-        clone = pickle.loads(pickle.dumps(pool))
-        assert len(clone) == len(pool)
-        for sess in clone._sessions.values():
-            assert not sess.warmed

@@ -71,6 +71,27 @@ class TestHealthAndStats:
         assert payload["version"] == repro.__version__
         assert payload["protocol"] == 1
 
+    def test_keep_alive_requests_are_not_delayed(self, server):
+        """Requests on one keep-alive connection must not wait on the
+        client's delayed ACK (Nagle holds the body back ~40 ms)."""
+        import http.client
+        import statistics
+
+        host, port = server.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            timings = []
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/v1/health")
+                response = conn.getresponse()
+                response.read()
+                timings.append(time.perf_counter() - start)
+                assert response.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(timings) < 0.020, timings
+
     def test_stats_validates(self, base):
         status, payload = call(base, "GET", "/v1/stats")
         assert status == 200
@@ -260,5 +281,5 @@ class TestSharedWorkspace:
         assert status == 200
         total = sum(stats["requests"].values())
         assert total > 10
-        if stats["strategy"] != "serial":  # auto-resolved warm strategy
+        if stats["strategy"] != "serial":  # the default warm strategy
             assert stats["cache"]["hits"] + stats["cache"]["misses"] > 0
