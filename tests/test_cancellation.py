@@ -15,7 +15,7 @@ import time
 import pytest
 
 from repro import faults
-from repro.api import AnalyzeRequest, Workspace
+from repro.api import AnalyzeRequest, RepairRequest, Workspace
 from repro.api.schema import all_schemas, validate
 from repro.faults import FaultPlan, FaultRule
 from repro.service.server import ReproService
@@ -102,9 +102,11 @@ class TestRunningCancel:
         """Slow the solver down (seeded delay faults), catch the job
         mid-run, cancel, and watch it land terminal ``cancelled`` --
         the acceptance criterion for cooperative cancellation."""
-        # The solver delay only fires inside long solves; the delay on
-        # every progress-event write keeps even a short job running
-        # past the cancel, whatever earlier tests left warm.
+        # The solver delay only fires inside long solves, so the job is
+        # a TPC-C repair: dozens of analyses, each narrating progress
+        # events, and a delay on every event write.  The job then runs
+        # for seconds with a cancel poll at each event, however warm
+        # earlier tests left the process.
         plan = FaultPlan(
             0,
             [
@@ -114,7 +116,7 @@ class TestRunningCancel:
                 ),
                 FaultRule(
                     site="events.write", action="delay",
-                    p=1.0, times=0, delay_s=0.1,
+                    p=1.0, times=0, delay_s=0.02,
                 ),
             ],
         )
@@ -124,7 +126,12 @@ class TestRunningCancel:
         workspace = Workspace(strategy="incremental")
         service = ReproService(workspace)
         try:
-            job_id = submit(service, benchmark="TPC-C")
+            status, payload = post(
+                service, "/v1/jobs",
+                RepairRequest(benchmark="TPC-C").to_json(),
+            )
+            assert status == 202, payload
+            job_id = payload["id"]
             deadline = time.monotonic() + 60
             status_seen = None
             while time.monotonic() < deadline:
