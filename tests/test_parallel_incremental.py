@@ -1,465 +1,108 @@
-"""Sharded warm-session workers: differential equivalence, shard
-affinity, degradation, and the batched beam-search fan-out.
+"""Strategy-level differential for the warm incremental path.
 
-The differential class is this PR's acceptance gate, extending the
-``tests/test_oracle_session.py`` pattern across the process boundary:
-for every corpus program, every focus pair x interferer, and every
-anomaly mode (EC/CC/RR/SC), the :class:`ParallelIncrementalStrategy`
-verdict must equal the cold ``solve_query`` verdict, EC witnesses must
-be exact, and *every* worker outcome (witness, ``solved`` flag) must
-equal an in-process :class:`OracleSession` shadow replay fed the same
-per-shard query sequence -- the workers run exactly the warm-session
-code the in-process differential suite already validates semantically,
-so outcome equality transfers those guarantees across the pool.
+``tests/test_oracle_session.py`` checks one :class:`OracleSession`
+against the cold solver.  This module checks the layer above it: the
+:class:`IncrementalStrategy` the oracle and the repair loop actually
+drive.  For every corpus program, every focus pair x interferer, and
+every anomaly mode (EC/CC/RR/SC), with one strategy instance kept warm
+across the level sweeps:
+
+- the strategy's verdict must equal the cold ``solve_query`` verdict,
+  and EC witnesses must be exact;
+- every outcome (witness, ``solved`` flag) must equal an in-process
+  :class:`OracleSession` shadow replay fed the same query sequence, so
+  the strategy adds nothing to (and drops nothing from) the session
+  code the session differential validates semantically;
+- a second strategy instance answering each triple's whole level sweep
+  through one :meth:`IncrementalStrategy.run_levels` call must reach
+  the same verdicts.
 """
 
 import pytest
 
-from repro.analysis import (
-    CC,
-    EC,
-    OracleSession,
-    RR,
-    SC,
-    AnomalyOracle,
-    ParallelIncrementalStrategy,
-    summarize_program,
-)
-from repro.analysis.pipeline import (
-    IncrementalStrategy,
-    ParallelStrategy,
-    QueryPlanner,
-    resolve_strategy,
-    shard_of,
-    solve_query,
-)
-from repro.corpus import ALL_BENCHMARKS, BY_NAME
+from repro.analysis import CC, EC, RR, SC, OracleSession, summarize_program
+from repro.analysis.pipeline import IncrementalStrategy, QueryPlanner, solve_query
+from repro.corpus import ALL_BENCHMARKS
 
 ALL_LEVELS = (EC, CC, RR, SC)
-WORKERS = 2
-
-
-def canonical(pairs):
-    return [
-        (
-            p.txn,
-            p.c1,
-            p.c2,
-            tuple(sorted(p.fields1)),
-            tuple(sorted(p.fields2)),
-            p.interferers,
-            p.patterns,
-        )
-        for p in pairs
-    ]
 
 
 class TestDifferential:
-    """Worker outcomes against the cold solver and an in-process shadow
-    pool, corpus-wide, all levels."""
+    """Strategy outcomes against the cold solver and an in-process
+    shadow pool, corpus-wide, all levels."""
 
     @pytest.mark.parametrize("bench", ALL_BENCHMARKS, ids=lambda b: b.name)
     def test_all_pairs_all_modes(self, bench):
         summaries = summarize_program(bench.program())
         planner = QueryPlanner()
-        # work_stealing off: the shadow replay below needs every triple
-        # to stay on its sha1 shard (a stolen chunk warms the thief's
-        # pool instead).
-        strategy = ParallelIncrementalStrategy(
-            max_workers=WORKERS, work_stealing=False
-        )
-        # One shadow pool per shard, fed the exact per-shard sequence the
-        # worker receives: equality proves the pool faithfully runs the
-        # in-process warm-session code on every query.
-        shadow_pools = {w: OracleSession() for w in range(WORKERS)}
+        strategy = IncrementalStrategy()
+        sweeper = IncrementalStrategy()
+        shadow_pool = OracleSession()
         cold_memo = {}
+        # Triple -> (spec, levels it was planned at), in first-seen order,
+        # for the run_levels sweep.
+        sweeps = {}
         checked = 0
+
+        def cold_verdict(spec, level):
+            key = (spec.cache_key, level.name)
+            if key not in cold_memo:
+                cold_memo[key] = solve_query(
+                    spec.c1, spec.c2, spec.summary_b, level, True
+                )
+            return cold_memo[key]
+
         try:
             for level in ALL_LEVELS:
-                plan = planner.plan(summaries, level, True)
-                specs = plan.queries()
+                specs = planner.plan(summaries, level, True).queries()
                 outcomes = strategy.run(specs, level, True)
                 assert len(outcomes) == len(specs)
                 for spec, outcome in zip(specs, outcomes):
-                    if spec.cache_key in cold_memo:
-                        cold = cold_memo[spec.cache_key]
-                    else:
-                        cold = solve_query(
-                            spec.c1, spec.c2, spec.summary_b, level, True
-                        )
-                        cold_memo[spec.cache_key] = cold
+                    cold = cold_verdict(spec, level)
                     checked += 1
-                    # Hard gate: verdicts agree on every pair x mode.
-                    assert (cold.witness is None) == (
-                        outcome.witness is None
-                    ), (
+                    where = (
                         bench.name, level.name, spec.a_name,
                         spec.c1.label, spec.c2.label, spec.summary_b.name,
                     )
+                    # Hard gate: verdicts agree on every pair x mode.
+                    assert (cold.witness is None) == (
+                        outcome.witness is None
+                    ), where
                     if level is EC and outcome.witness is not None:
                         # A session's first EC solve is virgin and
                         # bit-identical to cold; EC re-queries reuse the
                         # remembered model, whose witness is that one.
-                        assert outcome.witness == cold.witness, (
-                            bench.name, spec.a_name,
-                            spec.c1.label, spec.c2.label,
-                        )
-                per_shard = {}
-                for position, spec in enumerate(specs):
-                    per_shard.setdefault(
-                        shard_of(spec.cache_key, WORKERS), []
-                    ).append((position, spec))
-                for worker, items in per_shard.items():
-                    pool = shadow_pools[worker]
-                    for position, spec in items:
-                        shadow = pool.solve(
-                            spec.c1,
-                            spec.c2,
-                            spec.summary_b,
-                            level,
-                            True,
-                            key=spec.cache_key[:3] + (True,),
-                        )
-                        assert shadow.witness == outcomes[position].witness, (
-                            bench.name, level.name, spec.a_name,
-                            spec.c1.label, spec.c2.label, spec.summary_b.name,
-                        )
-                        assert shadow.solved == outcomes[position].solved
+                        assert outcome.witness == cold.witness, where
+                    shadow = shadow_pool.solve(
+                        spec.c1,
+                        spec.c2,
+                        spec.summary_b,
+                        level,
+                        True,
+                        key=spec.cache_key[:3] + (True,),
+                    )
+                    assert shadow.witness == outcome.witness, where
+                    assert shadow.solved == outcome.solved, where
+                    sweeps.setdefault(spec.cache_key[:3], (spec, []))[1].append(
+                        level
+                    )
+
+            triples = list(sweeps.values())
+            swept = sweeper.run_levels(
+                [spec for spec, _ in triples],
+                [levels for _, levels in triples],
+                True,
+            )
+            assert len(swept) == len(triples)
+            for (spec, levels), outs in zip(triples, swept):
+                assert len(outs) == len(levels)
+                for level, outcome in zip(levels, outs):
+                    cold = cold_verdict(spec, level)
+                    assert (cold.witness is None) == (
+                        outcome.witness is None
+                    ), (bench.name, level.name, spec.a_name, "run_levels")
         finally:
             strategy.close()
+            sweeper.close()
+            shadow_pool.close()
         assert checked > 0
-
-
-class TestReportEquivalence:
-    @pytest.mark.parametrize("name", ["Courseware", "SmallBank", "TPC-C"])
-    def test_identical_pairs_vs_serial(self, name):
-        program = BY_NAME[name].program()
-        serial = AnomalyOracle(EC).analyze(program)
-        oracle = AnomalyOracle(
-            EC, strategy=ParallelIncrementalStrategy(max_workers=WORKERS)
-        )
-        try:
-            report = oracle.analyze(program)
-        finally:
-            oracle.close()
-        assert canonical(serial.pairs) == canonical(report.pairs)
-        assert serial.pairs_checked == report.pairs_checked
-        assert report.strategy == f"parallel-incremental[{WORKERS}]"
-
-    def test_analyze_many_matches_per_program_analyze(self, courseware):
-        """Regression: batched specs from several plans carry colliding
-        plan-local indexes; results must land on the right specs."""
-        from repro.repair.engine import repair
-
-        repaired = repair(courseware).repaired_program
-        for strategy in (
-            ParallelIncrementalStrategy(max_workers=WORKERS),
-            ParallelStrategy(max_workers=WORKERS),
-        ):
-            oracle = AnomalyOracle(EC, strategy=strategy)
-            try:
-                batched = oracle.analyze_many([courseware, repaired])
-            finally:
-                oracle.close()
-            for program, report in zip([courseware, repaired], batched):
-                solo = AnomalyOracle(EC).analyze(program)
-                assert canonical(solo.pairs) == canonical(report.pairs)
-
-    def test_serial_oracle_analyze_many(self, courseware):
-        oracle = AnomalyOracle(EC)
-        reports = oracle.analyze_many([courseware, courseware])
-        solo = oracle.analyze(courseware)
-        for report in reports:
-            assert canonical(report.pairs) == canonical(solo.pairs)
-
-
-class TestShardAffinity:
-    def test_shard_routing_is_stable_and_level_independent(self, courseware):
-        summaries = summarize_program(courseware)
-        planner = QueryPlanner()
-        by_triple = {}
-        for level in ALL_LEVELS:
-            for spec in planner.plan(summaries, level, True).queries():
-                shard = shard_of(spec.cache_key, 4)
-                assert 0 <= shard < 4
-                triple = spec.cache_key[:3]
-                assert by_triple.setdefault(triple, shard) == shard
-
-    def test_sessions_never_rebuilt_cold_twice(self, courseware):
-        """Level sweeps on one strategy instance reuse each triple's
-        warm worker session instead of re-creating it (strict affinity
-        needs work stealing off: a stolen chunk builds cold on the
-        thief)."""
-        strategy = ParallelIncrementalStrategy(
-            max_workers=WORKERS, work_stealing=False
-        )
-        summaries = summarize_program(courseware)
-        planner = QueryPlanner()
-        total_specs = 0
-        try:
-            for level in ALL_LEVELS:
-                specs = planner.plan(summaries, level, True).queries()
-                total_specs += len(specs)
-                strategy.run(specs, level, True)
-            counters = strategy.counters()
-        finally:
-            strategy.close()
-        triples = {
-            spec.cache_key[:3]
-            for spec in planner.plan(summaries, EC, True).queries()
-        }
-        # One session per distinct triple, ever -- the later level
-        # sweeps only reuse; every spec still got answered.
-        assert counters["created"] == len(triples)
-        assert counters["reused"] == total_specs - len(triples)
-        assert counters["queries"] == total_specs
-
-
-class TestWorkStealing:
-    """The chunked scheduler: a worker whose queue runs dry steals the
-    tail of the longest queue instead of idling."""
-
-    def test_skewed_shard_is_stolen(self, courseware, monkeypatch):
-        import repro.analysis.pipeline as pipeline_module
-
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        # Skew: route every triple to shard 0, so worker 1 starts idle
-        # and can only make progress by stealing.
-        monkeypatch.setattr(
-            pipeline_module, "shard_of", lambda key, shards: 0
-        )
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
-        try:
-            outcomes = strategy.run(specs, EC, True)
-            stats = strategy.shard_stats()
-        finally:
-            strategy.close()
-        assert len(outcomes) == len(specs)
-        for spec, outcome in zip(specs, outcomes):
-            cold = solve_query(spec.c1, spec.c2, spec.summary_b, EC, True)
-            assert (cold.witness is None) == (outcome.witness is None)
-        # The idle worker stole and did real work: no worker idles
-        # while another's queue is non-empty.
-        assert stats["steal_count"] > 0
-        by_worker = {w["worker"]: w for w in stats["workers"]}
-        assert by_worker[1]["chunks"] > 0
-        assert by_worker[1]["stolen_chunks"] > 0
-        assert by_worker[0]["utilization"] > 0
-        assert stats["scheduler_seconds"] > 0
-
-    def test_stealing_disabled_leaves_skewed_queue_alone(
-        self, courseware, monkeypatch
-    ):
-        import repro.analysis.pipeline as pipeline_module
-
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        monkeypatch.setattr(
-            pipeline_module, "shard_of", lambda key, shards: 0
-        )
-        strategy = ParallelIncrementalStrategy(
-            max_workers=WORKERS, work_stealing=False
-        )
-        try:
-            outcomes = strategy.run(specs, EC, True)
-            stats = strategy.shard_stats()
-        finally:
-            strategy.close()
-        assert len(outcomes) == len(specs)
-        assert stats["steal_count"] == 0
-        by_worker = {w["worker"]: w for w in stats["workers"]}
-        assert by_worker[0]["chunks"] > 0
-        assert by_worker[1]["chunks"] == 0
-
-    def test_run_levels_sweep_matches_cold_verdicts(self, courseware):
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        sweep = [(EC, CC, RR) for _ in specs]
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
-        try:
-            swept = strategy.run_levels(specs, sweep, True)
-        finally:
-            strategy.close()
-        assert len(swept) == len(specs)
-        for spec, outs in zip(specs, swept):
-            assert len(outs) == 3
-            for level, outcome in zip((EC, CC, RR), outs):
-                cold = solve_query(
-                    spec.c1, spec.c2, spec.summary_b, level, True
-                )
-                assert (cold.witness is None) == (outcome.witness is None)
-                if level is EC and outcome.witness is not None:
-                    # The first EC solve of a virgin session matches the
-                    # cold solver bit for bit.
-                    assert outcome.witness == cold.witness
-
-    def test_run_levels_degrades_in_process(self, courseware):
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        sweep = [(EC, CC) for _ in specs]
-        strategy = ParallelIncrementalStrategy(max_workers=1)
-        try:
-            swept = strategy.run_levels(specs, sweep, True)
-            assert strategy._executors is None
-            assert strategy.shard_stats()["steal_count"] == 0
-        finally:
-            strategy.close()
-        assert len(swept) == len(specs)
-        assert all(len(outs) == 2 for outs in swept)
-
-
-class TestDegradation:
-    def test_single_worker_runs_in_process(self, courseware):
-        strategy = ParallelIncrementalStrategy(max_workers=1)
-        oracle = AnomalyOracle(EC, strategy=strategy)
-        try:
-            report = oracle.analyze(courseware)
-            assert strategy._executors is None  # never spun up a pool
-            assert strategy.name == "parallel-incremental[in-process]"
-            assert len(report.pairs) == 5
-            assert strategy.counters()["created"] > 0  # fallback pool ran
-        finally:
-            oracle.close()
-
-    def test_broken_pool_falls_back_to_in_process(self, courseware, monkeypatch):
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
-        spawn_attempts = []
-
-        def explode():
-            spawn_attempts.append(1)
-            raise RuntimeError("pool died")
-
-        monkeypatch.setattr(strategy, "_ensure_executors", explode)
-        serial = AnomalyOracle(EC).analyze(courseware)
-        oracle = AnomalyOracle(EC, strategy=strategy)
-        try:
-            report = oracle.analyze(courseware)
-            assert canonical(report.pairs) == canonical(serial.pairs)
-            # The breakage is sticky: later analyses go straight to the
-            # (still warm) fallback pool instead of respawning workers.
-            fallback = strategy._fallback
-            assert fallback is not None
-            warm_sessions = len(fallback.pool)
-            assert warm_sessions > 0
-            # Force the re-analysis through the strategy (the memo
-            # cache would otherwise answer it without running anything).
-            oracle.cache.clear()
-            again = oracle.analyze(courseware)
-            assert canonical(again.pairs) == canonical(serial.pairs)
-            assert len(spawn_attempts) == 1
-            assert strategy._fallback is fallback
-            assert len(fallback.pool) == warm_sessions
-            assert strategy.name == "parallel-incremental[in-process]"
-        finally:
-            oracle.close()
-
-
-class TestWorkerEntryPoints:
-    """The worker-side functions, exercised in-process (the forked
-    children run exactly this code, invisible to coverage)."""
-
-    def test_shard_worker_solve_matches_cold(self, courseware, monkeypatch):
-        import repro.analysis.pipeline as pipeline_module
-        from repro.analysis.pipeline import (
-            _shard_worker_counters,
-            _shard_worker_init,
-            _shard_worker_solve,
-        )
-
-        monkeypatch.setattr(pipeline_module, "_WORKER_SESSIONS", None)
-        assert _shard_worker_counters() == {}
-        _shard_worker_init(64)
-        summaries = summarize_program(courseware)
-        specs = QueryPlanner().plan(summaries, EC, True).queries()
-        payload = (
-            "EC",
-            True,
-            True,
-            [
-                (position, s.c1, s.c2, s.summary_b, s.cache_key[:3] + (True,))
-                for position, s in enumerate(specs)
-            ],
-        )
-        results = _shard_worker_solve(payload)
-        assert [position for position, _ in results] == list(range(len(specs)))
-        for (_, outcome), spec in zip(results, specs):
-            cold = solve_query(spec.c1, spec.c2, spec.summary_b, EC, True)
-            assert (cold.witness is None) == (outcome.witness is None)
-        counters = _shard_worker_counters()
-        assert counters["queries"] == len(specs)
-        monkeypatch.setattr(pipeline_module, "_WORKER_SESSIONS", None)
-
-
-class TestStrategyResolutionUpdates:
-    def test_parallel_incremental_names_resolve(self):
-        for name in ("parallel-incremental", "parallel_incremental"):
-            strategy = resolve_strategy(name, max_workers=3)
-            assert isinstance(strategy, ParallelIncrementalStrategy)
-            assert strategy.max_workers == 3
-            strategy.close()
-
-    def test_auto_picks_parallel_incremental_on_multicore(self):
-        strategy = resolve_strategy("auto", max_workers=4)
-        assert isinstance(strategy, ParallelIncrementalStrategy)
-        assert strategy.max_workers == 4
-        strategy.close()
-
-    def test_auto_picks_incremental_on_one_core(self):
-        strategy = resolve_strategy("auto", max_workers=1)
-        assert isinstance(strategy, IncrementalStrategy)
-        strategy.close()
-
-    def test_auto_choice_recorded_in_report(self, courseware):
-        oracle = AnomalyOracle(
-            EC, strategy="auto", max_workers=WORKERS
-        )
-        try:
-            report = oracle.analyze(courseware)
-        finally:
-            oracle.close()
-        assert report.strategy == f"parallel-incremental[{WORKERS}]"
-
-
-class TestBeamFanOut:
-    def test_beam_search_identical_across_strategies(self, courseware):
-        from repro.repair.engine import repair
-
-        def signature(report):
-            return (
-                [step.kind for step in report.plan],
-                canonical(report.initial_pairs),
-                canonical(report.residual_pairs),
-                [o.action for o in report.outcomes],
-            )
-
-        serial = repair(courseware, search="beam", width=3)
-        strategy = ParallelIncrementalStrategy(max_workers=WORKERS)
-        try:
-            fanned = repair(
-                courseware, strategy=strategy, search="beam", width=3
-            )
-        finally:
-            strategy.close()
-        assert signature(serial) == signature(fanned)
-
-    def test_evaluate_many_matches_evaluate(self, courseware):
-        from repro.repair.engine import repair
-        from repro.repair.plan import PlanContext
-        from repro.repair.search import CostModel
-
-        repaired = repair(courseware).repaired_program
-        model = CostModel()
-        oracle = AnomalyOracle(EC, strategy="incremental")
-        try:
-            items = [
-                (courseware, PlanContext()),
-                (repaired, PlanContext()),
-            ]
-            batched = model.evaluate_many(items, oracle)
-            for (program, ctx), (cost, pairs) in zip(items, batched):
-                solo_cost, solo_pairs = model.evaluate(program, ctx, oracle)
-                assert solo_cost == cost
-                assert canonical(solo_pairs) == canonical(pairs)
-        finally:
-            oracle.close()
