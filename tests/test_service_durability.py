@@ -180,6 +180,45 @@ class TestWorkerCrash:
             thread.join(timeout=10)
 
 
+class TestWorkerWake:
+    def test_notify_wakes_an_idle_worker_process(self, tmp_path):
+        """An idle worker process claims a new job as soon as the pool
+        is notified, not after sleeping out its poll interval."""
+        from repro.api import WorkspaceConfig
+        from repro.service import WorkerPool
+
+        job_db = str(tmp_path / "jobs.sqlite")
+        pool = WorkerPool(
+            job_db, WorkspaceConfig(strategy="incremental"), 1,
+            poll_interval=60.0,
+        )
+        with JobStore(job_db) as store:
+            first = store.submit(AnalyzeRequest(benchmark="SIBench"))
+            pool.start()
+            try:
+                # The worker boots, runs the first job, finds the queue
+                # empty and goes idle.
+                deadline = time.monotonic() + 120.0
+                while (
+                    store.get(first.id).status != "done"
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.02)
+                assert store.get(first.id).status == "done"
+                time.sleep(0.2)
+                second = store.submit(AnalyzeRequest(benchmark="SIBench"))
+                pool.notify()
+                deadline = time.monotonic() + 20.0
+                while (
+                    store.get(second.id).status != "done"
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.02)
+                assert store.get(second.id).status == "done"
+            finally:
+                assert pool.drain(timeout=30)
+
+
 class TestBackpressure:
     def test_full_queue_is_429_with_retry_after(self, tmp_path):
         """`start_runner=False` freezes the queue, so the depth cap is
