@@ -42,10 +42,9 @@ from repro.api.workspace import WorkspaceConfig
 from repro.faults import FaultInjected, failpoint
 from repro.service.store import DEFAULT_TENANT, Job, JobStore
 
-#: Idle delay between empty claim attempts.  A submission wakes idle
-#: runners at once (see :meth:`WorkerPool.notify`); the poll is the
-#: fallback for jobs that re-enter the queue without one (recovery,
-#: release after a fault) and costs an idle fleet no measurable CPU.
+#: Idle delay between empty claim attempts.  Low enough that job pickup
+#: latency is invisible next to solver work, high enough that an idle
+#: fleet costs no measurable CPU.
 POLL_INTERVAL = 0.05
 
 #: Floor between cancel-flag polls in the progress hook.  Every progress
@@ -185,21 +184,14 @@ def _drain_loop(
     weights: Optional[Dict[str, float]] = None,
     max_running_per_tenant: Optional[int] = None,
     workspace_for: Optional[Callable[[str], object]] = None,
-    wake=None,
 ) -> None:
     """Claim-execute until told to stop; shared by both runner kinds.
 
     ``weights``/``max_running_per_tenant`` flow into the store's
     deficit-weighted claim; ``workspace_for`` (when given) selects the
-    per-tenant workspace each claimed job runs against.  ``wake`` (an
-    event the submitting side sets) ends an idle wait early.
+    per-tenant workspace each claimed job runs against.
     """
     while not should_stop():
-        if wake is not None:
-            # Cleared before the claim, so no submission is missed: one
-            # committed before this point is visible to the claim, one
-            # committed after it sets the event again.
-            wake.clear()
         try:
             job = store.claim(
                 owner, shard=shard, shards=shards,
@@ -218,12 +210,7 @@ def _drain_loop(
             time.sleep(poll_interval)
             continue
         if job is None:
-            if wake is None:
-                time.sleep(poll_interval)
-            elif not should_stop():
-                # Stopping sets the wake too; re-checking after the
-                # clear means a stop can never be slept through.
-                wake.wait(poll_interval)
+            time.sleep(poll_interval)
             continue
         target = workspace_for(job.tenant) if workspace_for else workspace
         try:
@@ -257,7 +244,6 @@ def worker_main(
     poll_interval: float = POLL_INTERVAL,
     tenant_weights: Optional[Dict[str, float]] = None,
     max_running_per_tenant: Optional[int] = None,
-    wake=None,
 ) -> None:
     """Entry point of one worker process (must be importable: spawn)."""
     # Spawned processes inherit the environment, not the parent's
@@ -276,7 +262,6 @@ def worker_main(
             weights=tenant_weights,
             max_running_per_tenant=max_running_per_tenant,
             workspace_for=workspaces.get,
-            wake=wake,
         )
     finally:
         # Graceful exit checkpoints the worker's persistent query caches
@@ -316,10 +301,6 @@ class WorkerPool:
         self.breaker_trips = 0
         self._ctx = multiprocessing.get_context("spawn")
         self._stop_event = self._ctx.Event()
-        # One wake event per slot: each worker clears only its own, so
-        # a notify can never be consumed by a worker that then misses
-        # the job (a respawned worker inherits its slot's event).
-        self._wakes = [self._ctx.Event() for _ in range(workers)]
         self._procs: List[Optional[multiprocessing.Process]] = [None] * workers
         # Per-slot circuit breaker: consecutive fast deaths trip it,
         # opening the slot (no respawn) for a cooldown; the shard-steal
@@ -355,7 +336,6 @@ class WorkerPool:
                 self.poll_interval,
                 self.tenant_weights,
                 self.max_running_per_tenant,
-                self._wakes[index],
             ),
             name=f"repro-worker-{index}",
             daemon=True,
@@ -363,11 +343,6 @@ class WorkerPool:
         proc.start()
         self._procs[index] = proc
         self._spawned_at[index] = time.monotonic()
-
-    def notify(self) -> None:
-        """A job was queued: wake every idle worker to claim it."""
-        for wake in self._wakes:
-            wake.set()
 
     def active_owners(self) -> List[str]:
         """Owner ids of currently live workers (dead workers' claims are
@@ -441,7 +416,6 @@ class WorkerPool:
         Returns whether every worker exited within ``timeout``."""
         self._monitor_stop.set()
         self._stop_event.set()
-        self.notify()
         if self._monitor is not None:
             self._monitor.join(timeout=5)
         deadline = time.monotonic() + timeout
@@ -502,7 +476,6 @@ class InlineRunner:
         self.max_running_per_tenant = max_running_per_tenant
         self.owner = f"inline-{os.getpid()}"
         self._stop = threading.Event()
-        self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> None:
@@ -521,19 +494,13 @@ class InlineRunner:
             self._stop.is_set, poll_interval=self.poll_interval,
             weights=self.tenant_weights,
             max_running_per_tenant=self.max_running_per_tenant,
-            wake=self._wake,
         )
-
-    def notify(self) -> None:
-        """A job was queued: end the runner's idle wait."""
-        self._wake.set()
 
     def active_owners(self) -> List[str]:
         return [self.owner]
 
     def drain(self, timeout: float = 60.0) -> bool:
         self._stop.set()
-        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             return not self._thread.is_alive()
@@ -544,7 +511,6 @@ class InlineRunner:
         # tier means stop claiming and let the in-flight job finish in
         # the daemon thread (the process is usually exiting anyway).
         self._stop.set()
-        self._wake.set()
 
     def counters(self) -> Dict[str, int]:
         alive = self._thread is not None and self._thread.is_alive()

@@ -315,40 +315,3 @@ class TestTenancy:
             job = store.get(job_id)
             assert job.tenant == DEFAULT_TENANT
             assert store.depth(tenant=DEFAULT_TENANT) == 1
-
-
-class TestDrainLoop:
-    def test_wake_ends_an_idle_wait(self, tmp_path):
-        """A set wake event sends an idle runner straight back to the
-        queue instead of letting it sleep out its poll interval."""
-        import threading
-        import time
-
-        from repro.api import Workspace
-        from repro.service.workers import _drain_loop
-
-        stop = threading.Event()
-        wake = threading.Event()
-        with JobStore(str(tmp_path / "jobs.sqlite")) as store, Workspace() as ws:
-            runner = threading.Thread(
-                target=_drain_loop,
-                args=(store, ws, "w0", stop.is_set),
-                kwargs={"poll_interval": 60.0, "wake": wake},
-            )
-            runner.start()
-            try:
-                time.sleep(0.2)  # the empty queue sent the runner idle
-                job = store.submit(request_for("SIBench"))
-                wake.set()
-                deadline = time.monotonic() + 20.0
-                while (
-                    store.get(job.id).status != "done"
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.01)
-                assert store.get(job.id).status == "done"
-            finally:
-                stop.set()
-                wake.set()
-                runner.join(timeout=30)
-            assert not runner.is_alive()

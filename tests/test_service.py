@@ -92,26 +92,6 @@ class TestHealthAndStats:
             conn.close()
         assert statistics.median(timings) < 0.020, timings
 
-    def test_connection_burst_is_queued_not_dropped(self):
-        """Connections beyond socketserver's default backlog of 5 must
-        wait in the kernel's accept queue: a dropped SYN costs the
-        client a one-second retransmit."""
-        import socket
-
-        srv = make_server(port=0)  # listening, but not accepting yet
-        sockets = []
-        try:
-            host, port = srv.server_address[:2]
-            for _ in range(32):
-                sockets.append(
-                    socket.create_connection((host, port), timeout=0.5)
-                )
-        finally:
-            for sock in sockets:
-                sock.close()
-            srv.server_close()
-            srv.service.close()
-
     def test_stats_validates(self, base):
         status, payload = call(base, "GET", "/v1/stats")
         assert status == 200
@@ -216,33 +196,6 @@ class TestJobs:
         assert done["status"] == "failed"
         assert_valid(done["error"], "error")
         assert done["error"]["error"]["code"] == "unknown-benchmark"
-
-    def test_submission_wakes_the_idle_runner(self):
-        """``POST /v1/jobs`` wakes an idle runner at once instead of
-        leaving the job queued until the runner's next poll."""
-        from repro.service import InlineRunner, ReproService
-
-        service = ReproService(start_runner=False)
-        runner = InlineRunner(
-            service.store, service.workspace, poll_interval=60.0
-        )
-        service.runner = runner
-        runner.start()
-        try:
-            time.sleep(0.2)  # the empty queue sent the runner idle
-            body = json.dumps(AnalyzeRequest(benchmark="SIBench").to_json())
-            status, job, _ = service.handle("POST", "/v1/jobs", body.encode())
-            assert status == 202
-            deadline = time.monotonic() + 20.0
-            while (
-                service.store.get(job["id"]).status != "done"
-                and time.monotonic() < deadline
-            ):
-                time.sleep(0.01)
-            assert service.store.get(job["id"]).status == "done"
-        finally:
-            assert runner.drain(timeout=30)
-            service.close()
 
     def test_unknown_job_is_404(self, base):
         status, payload = call(base, "GET", "/v1/jobs/job-9999-deadbeef")
