@@ -18,6 +18,7 @@ import urllib.request
 
 import pytest
 
+from repro import faults
 from repro.api import AnalyzeRequest, RepairRequest, Workspace
 from repro.service import JobStore, make_server
 
@@ -141,10 +142,25 @@ class TestRestartRecovery:
 
 
 class TestWorkerCrash:
-    def test_sigkill_mid_job_reenqueues_and_completes(self, tmp_path):
+    def test_sigkill_mid_job_reenqueues_and_completes(self, tmp_path, monkeypatch):
         """Kill the only worker process mid-repair: the monitor must
         respawn it, the job must re-run, and the result must match the
         direct library call byte-for-byte."""
+        # A warm worker repairs Courseware in a few tens of milliseconds,
+        # which the status poll below can miss entirely.  A delay on
+        # every progress-event write (the plan reaches the spawned
+        # workers through the environment) keeps the job in flight long
+        # enough to be seen running and killed.
+        plan = faults.FaultPlan(
+            0,
+            [
+                faults.FaultRule(
+                    site="events.write", action="delay",
+                    p=1.0, times=0, delay_s=0.05,
+                )
+            ],
+        )
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_spec())
         server = make_server(
             port=0, workers=1, job_db=str(tmp_path / "jobs.sqlite")
         )
@@ -178,45 +194,6 @@ class TestWorkerCrash:
         finally:
             server.close()
             thread.join(timeout=10)
-
-
-class TestWorkerWake:
-    def test_notify_wakes_an_idle_worker_process(self, tmp_path):
-        """An idle worker process claims a new job as soon as the pool
-        is notified, not after sleeping out its poll interval."""
-        from repro.api import WorkspaceConfig
-        from repro.service import WorkerPool
-
-        job_db = str(tmp_path / "jobs.sqlite")
-        pool = WorkerPool(
-            job_db, WorkspaceConfig(strategy="incremental"), 1,
-            poll_interval=60.0,
-        )
-        with JobStore(job_db) as store:
-            first = store.submit(AnalyzeRequest(benchmark="SIBench"))
-            pool.start()
-            try:
-                # The worker boots, runs the first job, finds the queue
-                # empty and goes idle.
-                deadline = time.monotonic() + 120.0
-                while (
-                    store.get(first.id).status != "done"
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.02)
-                assert store.get(first.id).status == "done"
-                time.sleep(0.2)
-                second = store.submit(AnalyzeRequest(benchmark="SIBench"))
-                pool.notify()
-                deadline = time.monotonic() + 20.0
-                while (
-                    store.get(second.id).status != "done"
-                    and time.monotonic() < deadline
-                ):
-                    time.sleep(0.02)
-                assert store.get(second.id).status == "done"
-            finally:
-                assert pool.drain(timeout=30)
 
 
 class TestBackpressure:
