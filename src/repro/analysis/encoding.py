@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.accesses import CommandInfo, TransactionSummary
 from repro.analysis.aliasing import Alias, alias_commands
@@ -121,16 +121,15 @@ class PairEncoder:
         # them to skip the name formatting and interning lookups.
         self._vis_cache: Dict[Tuple[str, str, str], BoolVar] = {}
         # Materialised once on first use: the alias triangle list (shared
-        # by assertion and model screening) and the per-feature variable
-        # *name* lists that model_satisfies walks per candidate model.
+        # by assertion and model screening) and the per-feature link
+        # lists, which hold variable *names* so that assertion, the warm
+        # axiom groups and model screening share one list of tuples the
+        # garbage collector need not track.
         self._triangles: Optional[List[Tuple[Formula, Formula, Formula]]] = None
         self._tri_screen: Optional[List[Tuple[object, object, object]]] = None
-        self._serial_links: Optional[List[Tuple[BoolVar, bool]]] = None
-        self._frozen_links: Optional[List[Tuple[BoolVar, BoolVar]]] = None
-        self._causal_links: Optional[List[Tuple[BoolVar, BoolVar]]] = None
-        self._frozen_names: Optional[List[Tuple[str, str]]] = None
-        self._causal_names: Optional[List[Tuple[str, str]]] = None
-        self._serial_names: Optional[List[Tuple[str, bool]]] = None
+        self._serial_links: Optional[List[Tuple[str, bool]]] = None
+        self._frozen_links: Optional[List[Tuple[str, str]]] = None
+        self._causal_links: Optional[List[Tuple[str, str]]] = None
 
     # -- variable constructors ------------------------------------------
 
@@ -183,9 +182,10 @@ class PairEncoder:
     def _node_key(cmd: CommandInfo, side: str) -> str:
         return f"{side}:{cmd.label}"
 
-    def resolve_literal(self, var: BoolVar) -> int:
+    def resolve_literal(self, name: str) -> int:
         """The solver literal for a (possibly new) named variable."""
-        return self.builder.literal(var)
+        builder = self.builder
+        return builder.literal(builder.var(name))
 
     # -- axiom construction ------------------------------------------------
 
@@ -401,11 +401,14 @@ class PairEncoder:
     # The three per-feature link lists below were generators; every
     # axiom-group build and model screen re-ran them from scratch, and
     # generator resumption dominated the profile.  They are now built
-    # once per encoder (the constituent variables are interned, so the
-    # lists stay valid) in exactly the historical yield order, which
-    # pins variable allocation order and hence models and witnesses.
+    # once per encoder in exactly the historical yield order, which pins
+    # variable allocation order and hence models and witnesses.  The
+    # variables are interned by name, so the lists hold the names: a
+    # warm session keeps every list alive, and tuples of strings drop
+    # out of the garbage collector's tracking where tuples of variable
+    # objects would be walked by every full collection.
 
-    def _serializable_links(self):
+    def _serializable_links(self) -> List[Tuple[str, bool]]:
         """``(vis, flipped)`` pairs: each visibility variable is
         equivalent to the commit-order boolean (``order[A<B]`` true means
         the A instance commits first), negated when ``flipped``."""
@@ -417,23 +420,24 @@ class PairEncoder:
             vis_a = self.vis_a_to_b
             c1, c2 = self.c1, self.c2
             for b in self.b.writes():
-                app((vis_b(b, c1), True))
-                app((vis_b(b, c2), True))
+                app((vis_b(b, c1).name, True))
+                app((vis_b(b, c2).name, True))
             for a in (c1, c2):
                 if not a.is_write:
                     continue
                 for b in self.b.commands:
-                    app((vis_a(a, b), False))
+                    app((vis_a(a, b).name, False))
             self._serial_links = links
         return links
 
     def _assert_serializable(self) -> None:
         # `ab` true: the A instance commits first.
-        ab = self.builder.var("order[A<B]")
+        var = self.builder.var
+        ab = var("order[A<B]")
         for vis, flipped in self._serializable_links():
-            self.builder.add(Iff(vis, Not(ab) if flipped else ab))
+            self.builder.add(Iff(var(vis), Not(ab) if flipped else ab))
 
-    def _frozen_pairs(self):
+    def _frozen_pairs(self) -> List[Tuple[str, str]]:
         """Variable pairs constrained to be equivalent: a transaction's
         view is fixed for its whole execution."""
         pairs = self._frozen_links
@@ -444,21 +448,22 @@ class PairEncoder:
             vis_a = self.vis_a_to_b
             c1, c2 = self.c1, self.c2
             for b in self.b.writes():
-                app((vis_b(b, c1), vis_b(b, c2)))
+                app((vis_b(b, c1).name, vis_b(b, c2).name))
             a_writes = [c for c in (c1, c2) if c.is_write]
             b_cmds = self.b.commands
             for a in a_writes:
                 for i in range(len(b_cmds)):
                     for j in range(i + 1, len(b_cmds)):
-                        app((vis_a(a, b_cmds[i]), vis_a(a, b_cmds[j])))
+                        app((vis_a(a, b_cmds[i]).name, vis_a(a, b_cmds[j]).name))
             self._frozen_links = pairs
         return pairs
 
     def _assert_frozen(self) -> None:
+        var = self.builder.var
         for v1, v2 in self._frozen_pairs():
-            self.builder.add(Iff(v1, v2))
+            self.builder.add(Iff(var(v1), var(v2)))
 
-    def _causal_implications(self):
+    def _causal_implications(self) -> List[Tuple[str, str]]:
         """``(antecedent, consequent)`` visibility implications."""
         impls = self._causal_links
         if impls is None:
@@ -473,58 +478,45 @@ class PairEncoder:
             for i in range(len(b_writes)):
                 for j in range(i + 1, len(b_writes)):
                     earlier, later = b_writes[i], b_writes[j]
-                    app((vis_b(later, c1), vis_b(earlier, c1)))
-                    app((vis_b(later, c2), vis_b(earlier, c2)))
+                    app((vis_b(later, c1).name, vis_b(earlier, c1).name))
+                    app((vis_b(later, c2).name, vis_b(earlier, c2).name))
             # Monotone growth: views never shrink within a session.
             for b in b_writes:
-                app((vis_b(b, c1), vis_b(b, c2)))
+                app((vis_b(b, c1).name, vis_b(b, c2).name))
             if c1.is_write and c2.is_write:
                 for b in self.b.commands:
-                    app((vis_a(c2, b), vis_a(c1, b)))
+                    app((vis_a(c2, b).name, vis_a(c1, b).name))
             a_writes = [c for c in (c1, c2) if c.is_write]
             b_cmds = self.b.commands
             for a in a_writes:
                 for i in range(len(b_cmds)):
                     for j in range(i + 1, len(b_cmds)):
-                        app((vis_a(a, b_cmds[i]), vis_a(a, b_cmds[j])))
+                        app((vis_a(a, b_cmds[i]).name, vis_a(a, b_cmds[j]).name))
             self._causal_links = impls
         return impls
 
     def _assert_causal(self) -> None:
+        var = self.builder.var
         for antecedent, consequent in self._causal_implications():
-            self.builder.assert_implication((antecedent,), consequent)
+            self.builder.assert_implication((var(antecedent),), var(consequent))
 
     def model_satisfies(self, level: ConsistencyLevel, model: Dict[str, bool]) -> bool:
         """Whether a (skeleton) model already satisfies ``level``'s
         axioms -- the warm-session shortcut that turns a repeat query
-        into a pure model evaluation.  Walks per-feature variable-name
-        lists materialised once from the same constraint generators the
-        assertion methods use, so the screen can never drift from what
-        the solver would enforce."""
+        into a pure model evaluation.  Walks the same per-feature link
+        lists the assertion methods use, so the screen can never drift
+        from what the solver would enforce."""
         get = model.get
         if level.session_frozen:
-            if self._frozen_names is None:
-                self._frozen_names = [
-                    (v1.name, v2.name) for v1, v2 in self._frozen_pairs()
-                ]
-            for n1, n2 in self._frozen_names:
+            for n1, n2 in self._frozen_pairs():
                 if get(n1, False) != get(n2, False):
                     return False
         if level.causal:
-            if self._causal_names is None:
-                self._causal_names = [
-                    (a.name, c.name) for a, c in self._causal_implications()
-                ]
-            for antecedent, consequent in self._causal_names:
+            for antecedent, consequent in self._causal_implications():
                 if get(antecedent, False) and not get(consequent, False):
                     return False
         if level.total_order:
-            if self._serial_names is None:
-                self._serial_names = [
-                    (vis.name, flipped)
-                    for vis, flipped in self._serializable_links()
-                ]
-            links = self._serial_names
+            links = self._serializable_links()
             for order_ab in (False, True):
                 if all(
                     get(name, False) == (not order_ab if flipped else order_ab)
@@ -809,11 +801,15 @@ class PairSession:
         self.queries = 0
         self.model_hits = 0
         self._encoder: Optional[PairEncoder] = None
-        self._disjuncts: Optional[List[Disjunct]] = None
+        # Empty results are the shared empty tuple, not a fresh list:
+        # most sessions a pool keeps alive never find a disjunct or a
+        # model, and an empty list is one more object for every full
+        # garbage collection to walk.
+        self._disjuncts: Optional[Sequence[Disjunct]] = None
         self._groups: Dict[str, int] = {}
         # Models known to satisfy skeleton + disjunction, newest last
         # (bounded); candidates for the warm model-reuse shortcut.
-        self._models: List[Dict[str, bool]] = []
+        self._models: Tuple[Dict[str, bool], ...] = ()
         self._static_candidates: Optional[List[Dict[str, bool]]] = None
         # Witness extraction memo, keyed by the identity of the model
         # object (models live in _models/_static_candidates, so their
@@ -829,7 +825,7 @@ class PairSession:
         if self._disjuncts is not None:
             return
         if not tables_may_conflict(self.c1, self.c2, self.summary_b):
-            self._disjuncts = []
+            self._disjuncts = ()
             return
         if not has_disjuncts(
             self.c1, self.c2, self.summary_b.commands, self.distinct_args
@@ -838,7 +834,7 @@ class PairSession:
             # the builder, the solver, and all formula construction.
             # Externally identical to building the encoder and finding
             # collect_disjuncts() empty (the encoder was discarded).
-            self._disjuncts = []
+            self._disjuncts = ()
             return
         encoder = PairEncoder(
             None,
@@ -883,7 +879,7 @@ class PairSession:
                 solver = builder.solver
                 resolve = encoder.resolve_literal
                 if flag == "total_order":
-                    ab = resolve(builder.var("order[A<B]"))
+                    ab = resolve("order[A<B]")
                     for vis, flipped in encoder._serializable_links():
                         v = resolve(vis)
                         order = sat_neg(ab) if flipped else ab
@@ -1041,12 +1037,14 @@ class PairSession:
         return None
 
     def _remember_model(self, model: Dict[str, bool]) -> None:
-        self._models.append(model)
-        if len(self._models) > self._MAX_MODELS:
-            evicted = self._models.pop(0)
+        models = self._models + (model,)
+        if len(models) > self._MAX_MODELS:
+            evicted = models[0]
+            models = models[1:]
             # Drop the memoised witness too: once the dict is garbage
             # collected its id may be reused by a different model.
             self._witness_by_model.pop(id(evicted), None)
+        self._models = models
 
     def _candidate_models(self) -> List[Dict[str, bool]]:
         """Closed-form skeleton models derived from the disjunct shapes.
@@ -1162,7 +1160,7 @@ class PairSession:
         self._groups = {}
         self._encoder = None
         self._disjuncts = None
-        self._models = []
+        self._models = ()
         self._static_candidates = None
         self._witness_by_model = {}
 

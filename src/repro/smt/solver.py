@@ -48,6 +48,7 @@ return identical models and identical search statistics.
 from __future__ import annotations
 
 from array import array
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.budget import Budget
@@ -185,8 +186,13 @@ class Solver:
         self._dead_lits = 0
         self.clauses: List[int] = []
         self.learned: List[int] = []
-        # watches[l] = clause ids currently watching literal l.
-        self.watches: List[List[int]] = []
+        # watches[l] = clause ids currently watching literal l.  Only
+        # watched literals get a list: most literals of a warm session's
+        # solver are never watched, and a warm session pool keeps every
+        # solver alive, so an empty list per literal would be tens of
+        # thousands of idle objects for each full garbage collection to
+        # walk.
+        self.watches: Dict[int, List[int]] = defaultdict(list)
         # assigns[v] in {0 (false), 1 (true), _UNASSIGNED}.
         self.assigns: List[int] = []
         self.levels: List[int] = []
@@ -255,9 +261,6 @@ class Solver:
         """Allocate a fresh variable and return its index."""
         v = self.num_vars
         self.num_vars = v + 1
-        w = self.watches
-        w.append([])
-        w.append([])
         self.assigns.append(_UNASSIGNED)
         self.levels.append(0)
         self.reasons.append(None)
@@ -453,8 +456,9 @@ class Solver:
                 literal = trail[self.prop_head]
                 self.prop_head += 1
                 stats["propagations"] += 1
-                watchers = watches[literal]
-                watches[literal] = []
+                watchers = watches.pop(literal, None)
+                if watchers is None:
+                    continue
                 nl = literal ^ 1
                 i = 0
                 n = len(watchers)
@@ -749,7 +753,7 @@ class Solver:
         if not removed:
             return
         self.learned = [cid for cid in self.learned if cid not in removed]
-        for wl in self.watches:
+        for wl in self.watches.values():
             wl[:] = [cid for cid in wl if cid not in removed]
         # Mark the victims dead; their arena storage is reclaimed in
         # bulk once dead slots dominate the arena.
@@ -969,7 +973,6 @@ class ObjectDbSolver(Solver):
         super().__init__(branching, clause_db="objects")
         self.clauses: List[_Clause] = []
         self.learned: List[_Clause] = []
-        self.watches: List[List[_Clause]] = [[] for _ in self.watches]
 
     def _arena_nbytes(self) -> int:
         return 0
@@ -1126,7 +1129,7 @@ class ObjectDbSolver(Solver):
         if not removed:
             return
         self.learned = [c for c in self.learned if id(c) not in removed]
-        for wl in self.watches:
+        for wl in self.watches.values():
             wl[:] = [c for c in wl if id(c) not in removed]
         self._stats["db_reductions"] += 1
 
