@@ -24,7 +24,6 @@ Environment knobs:
   temp dir by default), letting CI warm-start a second full run.
 """
 
-import gc
 import json
 import os
 import platform
@@ -120,63 +119,47 @@ class TestStrategyEquivalence:
 def test_oracle_scaling(capsys):
     corpus = _corpus()
 
-    # Best of five per strategy to damp scheduler noise.  The three
+    # Best of three per strategy to damp scheduler noise.  The three
     # strategies take turns within each repetition, so a drift in host
-    # speed lands on all of them instead of on whichever ran last, and
-    # each timed run starts from a collected heap, so no run pays for
-    # the garbage of the one before.  The heap that earlier tests in
-    # this process left behind is frozen for the duration: a full
-    # collection's cost grows with every live object, and the warm
-    # sessions trigger one per pass, so without the freeze the ratios
-    # would depend on which tests happened to run first.
-    gc.collect()
-    gc.freeze()
+    # speed lands on all of them instead of on whichever ran last.
     serial_seconds = float("inf")
     pipeline_seconds = float("inf")
     incremental_seconds = float("inf")
     session_counters = {}
     best_repair_seconds = {}
-    try:
-        for _ in range(5):
-            # Serial seed baseline.
-            gc.collect()
-            start = time.perf_counter()
-            serial_rows = run_table1(corpus)
-            serial_seconds = min(serial_seconds, time.perf_counter() - start)
+    for _ in range(3):
+        # Serial seed baseline.
+        start = time.perf_counter()
+        serial_rows = run_table1(corpus)
+        serial_seconds = min(serial_seconds, time.perf_counter() - start)
 
-            # Cached pipeline: cold in-process solves, cold cache.
-            cache = QueryCache()
-            gc.collect()
+        # Cached pipeline: cold in-process solves, cold cache.
+        cache = QueryCache()
+        start = time.perf_counter()
+        pipeline_rows = run_table1(corpus, strategy="cached", cache=cache)
+        pipeline_seconds = min(pipeline_seconds, time.perf_counter() - start)
+
+        # Incremental warm-solver sessions, cold cache + pool.  Pool
+        # counters are deterministic across repetitions, so keep the
+        # last; close each runner so the warm pools don't stack up in
+        # memory.
+        inc_cache = QueryCache()
+        with resolve_strategy("incremental") as runner:
             start = time.perf_counter()
-            pipeline_rows = run_table1(corpus, strategy="cached", cache=cache)
-            pipeline_seconds = min(
-                pipeline_seconds, time.perf_counter() - start
+            incremental_rows = run_table1(
+                corpus, strategy=runner, cache=inc_cache
             )
-
-            # Incremental warm-solver sessions, cold cache + pool.
-            # Pool counters are deterministic across repetitions, so
-            # keep the last; close each runner so the warm pools don't
-            # stack up in memory.
-            inc_cache = QueryCache()
-            gc.collect()
-            with resolve_strategy("incremental") as runner:
-                start = time.perf_counter()
-                incremental_rows = run_table1(
-                    corpus, strategy=runner, cache=inc_cache
-                )
-                incremental_seconds = min(
-                    incremental_seconds, time.perf_counter() - start
-                )
-                session_counters = runner.pool.counters()
-            # Like the aggregate seconds, per-benchmark repair timings
-            # keep the best of the five repetitions.
-            for r in incremental_rows:
-                best_repair_seconds[r.name] = min(
-                    best_repair_seconds.get(r.name, float("inf")),
-                    r.repair_seconds,
-                )
-    finally:
-        gc.unfreeze()
+            incremental_seconds = min(
+                incremental_seconds, time.perf_counter() - start
+            )
+            session_counters = runner.pool.counters()
+        # Like the aggregate seconds, per-benchmark repair timings keep
+        # the best of the three repetitions.
+        for r in incremental_rows:
+            best_repair_seconds[r.name] = min(
+                best_repair_seconds.get(r.name, float("inf")),
+                r.repair_seconds,
+            )
 
     # Persistent cross-run cache: one cold and one warm pass over the
     # same on-disk store, each with a *fresh* cache object (standing in
