@@ -420,7 +420,9 @@ class ReproService:
                 f"{self.max_queue_depth}); retry later",
                 retry_after=self.admission.retry_after(2),
             )
-        return self.store.submit(request, tenant=tenant)
+        job = self.store.submit(request, tenant=tenant)
+        self.runner.notify()
+        return job
 
     # -- streaming ---------------------------------------------------------
 
@@ -616,6 +618,11 @@ class ReproHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer owning a :class:`ReproService`."""
 
     daemon_threads = True
+    #: Listen backlog.  socketserver's default of 5 overflows when a
+    #: handful of clients connect at once while the accept thread waits
+    #: for the GIL; the kernel then drops the SYN and the client
+    #: retransmits it a whole second later.
+    request_queue_size = 128
 
     def __init__(self, address, service: ReproService, quiet: bool = True):
         self.service = service

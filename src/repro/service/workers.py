@@ -42,9 +42,12 @@ from repro.api.workspace import WorkspaceConfig
 from repro.faults import FaultInjected, failpoint
 from repro.service.store import DEFAULT_TENANT, Job, JobStore
 
-#: Idle delay between empty claim attempts.  Low enough that job pickup
-#: latency is invisible next to solver work, high enough that an idle
-#: fleet costs no measurable CPU.
+#: Bound on an idle runner's wait for its wake event.  Every accepted
+#: submission and every orphan recovery sets the event (see
+#: :meth:`WorkerPool.notify`), so a new job is claimed at once; the
+#: bound only covers jobs that become claimable without either, such as
+#: a tenant held back by its running cap, and the back-off after a
+#: failed claim.  An idle fleet costs no measurable CPU.
 POLL_INTERVAL = 0.05
 
 #: Floor between cancel-flag polls in the progress hook.  Every progress
@@ -158,11 +161,14 @@ def execute_job(workspace, store: JobStore, job: Job) -> None:
         failpoint("worker.pre_result")
         store.finish(job.id, result.to_json())
     except JobCancelledError:
-        store.mark_cancelled(job.id)
+        # The event goes first: a reader that sees the terminal status
+        # (a job poll, or the event stream's ``job.end``) must also see
+        # why the job ended.
         try:
             store.record_event(job.id, ProgressEvent("job.cancelled", {}))
         except (FaultInjected, sqlite3.Error):
             pass
+        store.mark_cancelled(job.id)
     except FaultInjected:
         # An injected fault is transient by definition: give the job
         # back (burning the attempt the claim took) instead of failing
@@ -178,6 +184,7 @@ def _drain_loop(
     workspace,
     owner: str,
     should_stop: Callable[[], bool],
+    wake,
     shard: Optional[int] = None,
     shards: Optional[int] = None,
     poll_interval: float = POLL_INTERVAL,
@@ -189,9 +196,15 @@ def _drain_loop(
 
     ``weights``/``max_running_per_tenant`` flow into the store's
     deficit-weighted claim; ``workspace_for`` (when given) selects the
-    per-tenant workspace each claimed job runs against.
+    per-tenant workspace each claimed job runs against.  ``wake`` is
+    the event the submitting side sets: an idle runner waits on it, for
+    at most ``poll_interval``, instead of sleeping.
     """
     while not should_stop():
+        # Cleared before the claim, so no submission is missed: one
+        # committed before this point is visible to the claim, one
+        # committed after it sets the event again.
+        wake.clear()
         try:
             job = store.claim(
                 owner, shard=shard, shards=shards,
@@ -206,11 +219,13 @@ def _drain_loop(
         except (FaultInjected, sqlite3.OperationalError):
             # A claim that failed (injected, or a real lock pile-up
             # outliving the store's bounded retry) claimed nothing:
-            # back off and try again rather than killing the runner.
-            time.sleep(poll_interval)
-            continue
+            # wait as if idle and try again rather than kill the runner.
+            job = None
         if job is None:
-            time.sleep(poll_interval)
+            if not should_stop():
+                # Stopping sets the wake too; re-checking after the
+                # clear means a stop can never be slept through.
+                wake.wait(poll_interval)
             continue
         target = workspace_for(job.tenant) if workspace_for else workspace
         try:
@@ -241,6 +256,7 @@ def worker_main(
     job_db: str,
     config: WorkspaceConfig,
     stop_event,
+    wake,
     poll_interval: float = POLL_INTERVAL,
     tenant_weights: Optional[Dict[str, float]] = None,
     max_running_per_tenant: Optional[int] = None,
@@ -256,7 +272,7 @@ def worker_main(
     try:
         _drain_loop(
             store, workspaces.base, owner,
-            stop_event.is_set,
+            stop_event.is_set, wake,
             shard=index, shards=shards,
             poll_interval=poll_interval,
             weights=tenant_weights,
@@ -301,6 +317,10 @@ class WorkerPool:
         self.breaker_trips = 0
         self._ctx = multiprocessing.get_context("spawn")
         self._stop_event = self._ctx.Event()
+        # One wake event per slot: each worker clears only its own, so
+        # a notify can never be consumed by a worker that then misses
+        # the job (a respawned worker inherits its slot's event).
+        self._wakes = [self._ctx.Event() for _ in range(workers)]
         self._procs: List[Optional[multiprocessing.Process]] = [None] * workers
         # Per-slot circuit breaker: consecutive fast deaths trip it,
         # opening the slot (no respawn) for a cooldown; the shard-steal
@@ -333,6 +353,7 @@ class WorkerPool:
                 self.job_db,
                 self.config.for_worker(index),
                 self._stop_event,
+                self._wakes[index],
                 self.poll_interval,
                 self.tenant_weights,
                 self.max_running_per_tenant,
@@ -343,6 +364,11 @@ class WorkerPool:
         proc.start()
         self._procs[index] = proc
         self._spawned_at[index] = time.monotonic()
+
+    def notify(self) -> None:
+        """A job was queued: wake every idle worker to claim it."""
+        for wake in self._wakes:
+            wake.set()
 
     def active_owners(self) -> List[str]:
         """Owner ids of currently live workers (dead workers' claims are
@@ -410,12 +436,15 @@ class WorkerPool:
                 # is live, the dead one is not, so exactly the orphaned
                 # claims go back to queued.
                 self._store.recover(self.active_owners())
+                # Re-enqueued jobs have no submission to wake anyone.
+                self.notify()
 
     def drain(self, timeout: float = 60.0) -> bool:
         """Graceful stop: finish in-flight jobs, checkpoint caches, exit.
         Returns whether every worker exited within ``timeout``."""
         self._monitor_stop.set()
         self._stop_event.set()
+        self.notify()
         if self._monitor is not None:
             self._monitor.join(timeout=5)
         deadline = time.monotonic() + timeout
@@ -436,6 +465,7 @@ class WorkerPool:
         orphans for the next :meth:`~repro.service.store.JobStore.recover`."""
         self._monitor_stop.set()
         self._stop_event.set()
+        self.notify()
         if self._monitor is not None:
             self._monitor.join(timeout=5)
         for proc in self._procs:
@@ -476,6 +506,7 @@ class InlineRunner:
         self.max_running_per_tenant = max_running_per_tenant
         self.owner = f"inline-{os.getpid()}"
         self._stop = threading.Event()
+        self._wake = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> None:
@@ -491,16 +522,22 @@ class InlineRunner:
         # is also serving the sync endpoints).
         _drain_loop(
             self.store, self.workspace, self.owner,
-            self._stop.is_set, poll_interval=self.poll_interval,
+            self._stop.is_set, self._wake,
+            poll_interval=self.poll_interval,
             weights=self.tenant_weights,
             max_running_per_tenant=self.max_running_per_tenant,
         )
+
+    def notify(self) -> None:
+        """A job was queued: end the runner's idle wait."""
+        self._wake.set()
 
     def active_owners(self) -> List[str]:
         return [self.owner]
 
     def drain(self, timeout: float = 60.0) -> bool:
         self._stop.set()
+        self.notify()
         if self._thread is not None:
             self._thread.join(timeout=timeout)
             return not self._thread.is_alive()
@@ -511,6 +548,7 @@ class InlineRunner:
         # tier means stop claiming and let the in-flight job finish in
         # the daemon thread (the process is usually exiting anyway).
         self._stop.set()
+        self.notify()
 
     def counters(self) -> Dict[str, int]:
         alive = self._thread is not None and self._thread.is_alive()

@@ -98,6 +98,31 @@ class TestQueuedCancel:
 
 
 class TestRunningCancel:
+    def test_cancelled_event_lands_before_the_terminal_status(self, tmp_path):
+        """Whoever reads ``cancelled`` -- a status poll, or the event
+        stream deciding to send ``job.end`` -- must already find the
+        ``job.cancelled`` event in the log."""
+        from repro.service import JobStore
+        from repro.service.workers import execute_job
+
+        with JobStore(str(tmp_path / "jobs.sqlite")) as store, Workspace() as ws:
+            job_id = store.submit(AnalyzeRequest(benchmark="SIBench")).id
+            job = store.claim("w0")
+            assert store.request_cancel(job_id) == "cancelling"
+            seen_at_terminal = []
+            mark_cancelled = store.mark_cancelled
+
+            def spy(target):
+                seen_at_terminal.extend(
+                    e["stage"] for e in store.get(target).events
+                )
+                mark_cancelled(target)
+
+            store.mark_cancelled = spy
+            execute_job(ws, store, job)
+            assert store.get(job_id).status == "cancelled"
+            assert "job.cancelled" in seen_at_terminal
+
     def test_running_job_lands_cancelled(self):
         """Slow the solver down (seeded delay faults), catch the job
         mid-run, cancel, and watch it land terminal ``cancelled`` --

@@ -1,8 +1,11 @@
 """The durable job store: claims, shard affinity, crash recovery,
 retention, and persistence across reopen."""
 
+import contextlib
 import json
 import os
+import threading
+import time
 
 import pytest
 
@@ -292,7 +295,10 @@ class TestTenancy:
                 store.claim("w0")
                 store.finish(job.id, {"n": name})
             assert store.counters()["done"] == 3
-            _drain_loop(store, None, "w0", should_stop=lambda: True)
+            _drain_loop(
+                store, None, "w0", should_stop=lambda: True,
+                wake=threading.Event(),
+            )
             assert store.counters()["done"] == 1
 
     def test_pre_tenancy_database_is_migrated(self, tmp_path):
@@ -315,3 +321,133 @@ class TestTenancy:
             job = store.get(job_id)
             assert job.tenant == DEFAULT_TENANT
             assert store.depth(tenant=DEFAULT_TENANT) == 1
+
+
+def wait_for_done(store, job_id, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while store.get(job_id).status != "done" and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return store.get(job_id).status
+
+
+@contextlib.contextmanager
+def idle_runner(store, workspace, wake):
+    """``_drain_loop`` on a thread with a 60 s poll, so only ``wake``
+    can end its idle wait in test time."""
+    from repro.service.workers import _drain_loop
+
+    stop = threading.Event()
+    runner = threading.Thread(
+        target=_drain_loop,
+        args=(store, workspace, "w0", stop.is_set, wake),
+        kwargs={"poll_interval": 60.0},
+    )
+    runner.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        wake.set()
+        runner.join(timeout=30)
+    assert not runner.is_alive()
+
+
+class TestDrainLoop:
+    def test_wake_ends_an_idle_wait(self, tmp_path):
+        """A set wake event sends an idle runner straight back to the
+        queue instead of letting it wait out its poll interval."""
+        from repro.api import Workspace
+
+        wake = threading.Event()
+        with JobStore(str(tmp_path / "jobs.sqlite")) as store, Workspace() as ws:
+            with idle_runner(store, ws, wake):
+                time.sleep(0.2)  # the empty queue sent the runner idle
+                job = store.submit(request_for("SIBench"))
+                wake.set()
+                assert wait_for_done(store, job.id) == "done"
+
+    def test_submission_between_claim_and_wait_is_not_missed(self, tmp_path):
+        """The race the clear-before-claim rule closes: a job committed
+        (and its wake set) after the runner's empty claim but before its
+        wait must still be claimed at once, not after the 60 s poll."""
+        from repro.api import Workspace
+
+        wake = threading.Event()
+        with JobStore(str(tmp_path / "jobs.sqlite")) as store, Workspace() as ws:
+            raced = []
+            claim = store.claim
+
+            def racing_claim(*args, **kwargs):
+                job = claim(*args, **kwargs)
+                if job is None and not raced:
+                    raced.append(store.submit(request_for("SIBench")))
+                    wake.set()
+                return job
+
+            store.claim = racing_claim
+            with idle_runner(store, ws, wake):
+                deadline = time.monotonic() + 20.0
+                while not raced and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert raced
+                assert wait_for_done(store, raced[0].id) == "done"
+
+    def test_drain_of_an_idle_inline_runner_is_prompt(self, tmp_path):
+        """Draining sets the wake, so an idle runner stops at once
+        rather than after its poll interval."""
+        from repro.api import Workspace
+        from repro.service import InlineRunner
+
+        with JobStore(str(tmp_path / "jobs.sqlite")) as store, Workspace() as ws:
+            runner = InlineRunner(store, ws, poll_interval=60.0)
+            runner.start()
+            time.sleep(0.2)  # the empty queue sent the runner idle
+            started = time.monotonic()
+            assert runner.drain(timeout=30)
+            assert time.monotonic() - started < 1.0
+
+    def test_racing_submissions_never_strand_a_job(self, tmp_path):
+        """Submitters race the idle runner's clear-claim-wait cycle,
+        round after round, on more threads than cores: a lost wakeup
+        would leave a round's last job queued past the 60 s poll."""
+        import sys
+
+        from repro.api import Workspace
+        from repro.service import InlineRunner
+
+        submitters, rounds = 4, 25
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with JobStore(str(tmp_path / "jobs.sqlite")) as store, Workspace() as ws:
+                runner = InlineRunner(store, ws, poll_interval=60.0)
+                runner.start()
+                barrier = threading.Barrier(submitters)
+
+                def submit():
+                    barrier.wait(timeout=30)
+                    store.submit(request_for("SIBench"))
+                    runner.notify()
+
+                try:
+                    for round_ in range(1, rounds + 1):
+                        threads = [
+                            threading.Thread(target=submit)
+                            for _ in range(submitters)
+                        ]
+                        for thread in threads:
+                            thread.start()
+                        for thread in threads:
+                            thread.join(timeout=30)
+                            assert not thread.is_alive()
+                        deadline = time.monotonic() + 10.0
+                        while (
+                            store.counters()["done"] < submitters * round_
+                            and time.monotonic() < deadline
+                        ):
+                            time.sleep(0.005)
+                        assert store.counters()["done"] == submitters * round_
+                finally:
+                    assert runner.drain(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)

@@ -196,6 +196,100 @@ class TestWorkerCrash:
             thread.join(timeout=10)
 
 
+def wait_in_store(store, job_id, statuses, timeout):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        job = store.get(job_id)
+        if job.status in statuses:
+            return job
+        time.sleep(0.02)
+    pytest.fail(f"job {job_id} not {statuses} within {timeout}s")
+
+
+class TestWorkerWake:
+    def test_notify_wakes_an_idle_worker_process(self, tmp_path):
+        """An idle worker process claims a new job as soon as the pool
+        is notified, not after waiting out its poll interval."""
+        from repro.api import WorkspaceConfig
+        from repro.service import WorkerPool
+
+        job_db = str(tmp_path / "jobs.sqlite")
+        pool = WorkerPool(
+            job_db, WorkspaceConfig(strategy="incremental"), 1,
+            poll_interval=60.0,
+        )
+        with JobStore(job_db) as store:
+            first = store.submit(AnalyzeRequest(benchmark="SIBench"))
+            pool.start()
+            try:
+                # The worker boots, runs the first job, finds the queue
+                # empty and goes idle.
+                assert wait_in_store(store, first.id, ("done",), 120).status == "done"
+                time.sleep(0.2)
+                second = store.submit(AnalyzeRequest(benchmark="SIBench"))
+                pool.notify()
+                assert wait_in_store(store, second.id, ("done",), 20).status == "done"
+            finally:
+                assert pool.drain(timeout=30)
+
+    def test_recovered_job_wakes_an_idle_worker(self, tmp_path, monkeypatch):
+        """Kill a worker mid-job while the other idles: the monitor's
+        recovery wakes the survivor, which claims the re-enqueued job at
+        once -- before the replacement process has even booted, and far
+        inside the 60 s poll it would otherwise sleep out."""
+        from repro.api import WorkspaceConfig
+        from repro.service import WorkerPool
+
+        # The delay seam of test_sigkill_mid_job_reenqueues_and_completes:
+        # each progress-event write sleeps, so a job stays in flight
+        # long enough to be seen running and killed.
+        plan = faults.FaultPlan(
+            0,
+            [
+                faults.FaultRule(
+                    site="events.write", action="delay",
+                    p=1.0, times=0, delay_s=0.05,
+                )
+            ],
+        )
+        monkeypatch.setenv(faults.ENV_VAR, plan.to_spec())
+        job_db = str(tmp_path / "jobs.sqlite")
+        pool = WorkerPool(
+            job_db, WorkspaceConfig(strategy="incremental"), 2,
+            poll_interval=60.0,
+        )
+        request = RepairRequest(benchmark="Courseware")
+        with JobStore(job_db) as store:
+            pool.start()
+            try:
+                # Two jobs at a time until both workers have run one:
+                # then both have booted, and both are idle afterwards.
+                owners = set()
+                deadline = time.monotonic() + 120
+                while len(owners) < 2:
+                    assert time.monotonic() < deadline, owners
+                    pair = [store.submit(request) for _ in range(2)]
+                    pool.notify()
+                    for job in pair:
+                        owners.add(
+                            wait_in_store(store, job.id, ("done",), 120).worker
+                        )
+
+                job = store.submit(request)
+                pool.notify()
+                victim = wait_in_store(store, job.id, ("running",), 20).worker
+                (survivor,) = owners - {victim}
+                os.kill(int(victim.split("-")[1]), signal.SIGKILL)
+
+                done = wait_in_store(store, job.id, ("done", "failed"), 20)
+                assert done.status == "done", done.error
+                assert done.attempts == 2
+                assert done.worker == survivor
+                assert pool.counters()["restarts"] == 1
+            finally:
+                assert pool.drain(timeout=30)
+
+
 class TestBackpressure:
     def test_full_queue_is_429_with_retry_after(self, tmp_path):
         """`start_runner=False` freezes the queue, so the depth cap is
