@@ -15,7 +15,7 @@ Crash handling is the pool monitor's job: a dead worker's claimed jobs
 are re-enqueued through :meth:`~repro.service.store.JobStore.recover`
 and a replacement process is spawned, so a SIGKILL mid-job delays that
 job's result rather than losing it.  Graceful drain flips a shared stop
-event; each worker finishes its in-flight job, checkpoints its caches
+flag; each worker finishes its in-flight job, checkpoints its caches
 (``Workspace.close`` flushes the persistent query cache), and exits.
 
 ``workers=0`` keeps execution in the server process: an
@@ -42,12 +42,12 @@ from repro.api.workspace import WorkspaceConfig
 from repro.faults import FaultInjected, failpoint
 from repro.service.store import DEFAULT_TENANT, Job, JobStore
 
-#: Bound on an idle runner's wait for its wake event.  Every accepted
-#: submission and every orphan recovery sets the event (see
+#: Bound on an idle runner's wait for its wake.  Every accepted
+#: submission and every orphan recovery signals the wake (see
 #: :meth:`WorkerPool.notify`), so a new job is claimed at once; the
 #: bound only covers jobs that become claimable without either, such as
-#: a tenant held back by its running cap, and the back-off after a
-#: failed claim.  An idle fleet costs no measurable CPU.
+#: a tenant held back by its running cap.  It is also the fixed back-off
+#: after a failed claim.  An idle fleet costs no measurable CPU.
 POLL_INTERVAL = 0.05
 
 #: Floor between cancel-flag polls in the progress hook.  Every progress
@@ -179,6 +179,20 @@ def execute_job(workspace, store: JobStore, job: Job) -> None:
         store.fail(job.id, error_payload(exc))
 
 
+def signal_wake(wake) -> None:
+    """Leave one pending wake on ``wake`` (a ``BoundedSemaphore(1)``).
+
+    A release never waits for the waiter, so a runner that died while
+    waiting cannot block the signaller (a multiprocessing ``Event.set``
+    would wait forever for the dead sleeper's acknowledgement).  A wake
+    already pending absorbs this one: the runner claims again either way.
+    """
+    try:
+        wake.release()
+    except ValueError:
+        pass
+
+
 def _drain_loop(
     store: JobStore,
     workspace,
@@ -197,14 +211,12 @@ def _drain_loop(
     ``weights``/``max_running_per_tenant`` flow into the store's
     deficit-weighted claim; ``workspace_for`` (when given) selects the
     per-tenant workspace each claimed job runs against.  ``wake`` is
-    the event the submitting side sets: an idle runner waits on it, for
-    at most ``poll_interval``, instead of sleeping.
+    the ``BoundedSemaphore(1)`` the submitting side signals (see
+    :func:`signal_wake`): an idle runner acquires it, waiting at most
+    ``poll_interval``, instead of sleeping.  A signal stays pending until
+    taken, so a job committed after an empty claim is never missed.
     """
     while not should_stop():
-        # Cleared before the claim, so no submission is missed: one
-        # committed before this point is visible to the claim, one
-        # committed after it sets the event again.
-        wake.clear()
         try:
             job = store.claim(
                 owner, shard=shard, shards=shards,
@@ -218,14 +230,18 @@ def _drain_loop(
             return
         except (FaultInjected, sqlite3.OperationalError):
             # A claim that failed (injected, or a real lock pile-up
-            # outliving the store's bounded retry) claimed nothing:
-            # wait as if idle and try again rather than kill the runner.
-            job = None
+            # outliving the store's bounded retry) claimed nothing: back
+            # off a fixed interval and try again rather than kill the
+            # runner.  A submission must not cut this short -- it would
+            # send every runner into another claim while the store is
+            # contended.
+            time.sleep(poll_interval)
+            continue
         if job is None:
             if not should_stop():
-                # Stopping sets the wake too; re-checking after the
-                # clear means a stop can never be slept through.
-                wake.wait(poll_interval)
+                # Stopping signals the wake too, and the signal stays
+                # pending, so a stop can never be slept through.
+                wake.acquire(timeout=poll_interval)
             continue
         target = workspace_for(job.tenant) if workspace_for else workspace
         try:
@@ -255,7 +271,7 @@ def worker_main(
     shards: int,
     job_db: str,
     config: WorkspaceConfig,
-    stop_event,
+    stop_flag,
     wake,
     poll_interval: float = POLL_INTERVAL,
     tenant_weights: Optional[Dict[str, float]] = None,
@@ -272,7 +288,7 @@ def worker_main(
     try:
         _drain_loop(
             store, workspaces.base, owner,
-            stop_event.is_set, wake,
+            lambda: bool(stop_flag.value), wake,
             shard=index, shards=shards,
             poll_interval=poll_interval,
             weights=tenant_weights,
@@ -316,11 +332,15 @@ class WorkerPool:
         self.restarts = 0
         self.breaker_trips = 0
         self._ctx = multiprocessing.get_context("spawn")
-        self._stop_event = self._ctx.Event()
-        # One wake event per slot: each worker clears only its own, so
-        # a notify can never be consumed by a worker that then misses
-        # the job (a respawned worker inherits its slot's event).
-        self._wakes = [self._ctx.Event() for _ in range(workers)]
+        # A shared byte, read and written without a lock: a
+        # multiprocessing Event takes its lock on every ``is_set``, and a
+        # worker killed while holding it would leave it held for good.
+        self._stop_flag = self._ctx.RawValue("b", 0)
+        # One wake per slot, so every idle worker gets its own signal (a
+        # respawned worker inherits its slot's wake).  A semaphore, not
+        # an Event: signalling one never waits on a worker, which a
+        # SIGKILL may have ended mid-wait.
+        self._wakes = [self._ctx.BoundedSemaphore(1) for _ in range(workers)]
         self._procs: List[Optional[multiprocessing.Process]] = [None] * workers
         # Per-slot circuit breaker: consecutive fast deaths trip it,
         # opening the slot (no respawn) for a cooldown; the shard-steal
@@ -352,7 +372,7 @@ class WorkerPool:
                 self.workers,
                 self.job_db,
                 self.config.for_worker(index),
-                self._stop_event,
+                self._stop_flag,
                 self._wakes[index],
                 self.poll_interval,
                 self.tenant_weights,
@@ -368,7 +388,7 @@ class WorkerPool:
     def notify(self) -> None:
         """A job was queued: wake every idle worker to claim it."""
         for wake in self._wakes:
-            wake.set()
+            signal_wake(wake)
 
     def active_owners(self) -> List[str]:
         """Owner ids of currently live workers (dead workers' claims are
@@ -400,7 +420,7 @@ class WorkerPool:
         shard's jobs."""
         delay = 0.2
         while not self._monitor_stop.wait(delay):
-            if self._stop_event.is_set():
+            if self._stop_flag.value:
                 continue
             died = False
             now = time.monotonic()
@@ -443,7 +463,7 @@ class WorkerPool:
         """Graceful stop: finish in-flight jobs, checkpoint caches, exit.
         Returns whether every worker exited within ``timeout``."""
         self._monitor_stop.set()
-        self._stop_event.set()
+        self._stop_flag.value = 1
         self.notify()
         if self._monitor is not None:
             self._monitor.join(timeout=5)
@@ -464,7 +484,7 @@ class WorkerPool:
         """Immediate teardown (tests, error paths); claimed jobs become
         orphans for the next :meth:`~repro.service.store.JobStore.recover`."""
         self._monitor_stop.set()
-        self._stop_event.set()
+        self._stop_flag.value = 1
         self.notify()
         if self._monitor is not None:
             self._monitor.join(timeout=5)
@@ -506,7 +526,7 @@ class InlineRunner:
         self.max_running_per_tenant = max_running_per_tenant
         self.owner = f"inline-{os.getpid()}"
         self._stop = threading.Event()
-        self._wake = threading.Event()
+        self._wake = threading.BoundedSemaphore(1)
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> None:
@@ -530,7 +550,7 @@ class InlineRunner:
 
     def notify(self) -> None:
         """A job was queued: end the runner's idle wait."""
-        self._wake.set()
+        signal_wake(self._wake)
 
     def active_owners(self) -> List[str]:
         return [self.owner]

@@ -290,6 +290,65 @@ class TestWorkerWake:
                 assert pool.drain(timeout=30)
 
 
+    def test_sigkill_of_an_idle_worker_blocks_no_submission(self, tmp_path):
+        """Kill a worker while it waits on its wake, then submit: the
+        monitor's recovery notify and the POST's notify must not wait on
+        the dead waiter.  The POST answers at once and the respawned
+        worker runs the job, far inside the 60 s poll."""
+        from repro.api import WorkspaceConfig
+        from repro.service import ReproService, WorkerPool
+
+        job_db = str(tmp_path / "jobs.sqlite")
+        service = ReproService(job_db=job_db, start_runner=False)
+        pool = WorkerPool(
+            job_db, WorkspaceConfig(strategy="incremental"), 1,
+            poll_interval=60.0,
+        )
+        service.runner = pool
+        body = json.dumps(AnalyzeRequest(benchmark="SIBench").to_json()).encode()
+        wedged = False
+        pool.start()
+        try:
+            status, first, _ = service.handle("POST", "/v1/jobs", body)
+            assert status == 202
+            # The worker boots, runs the first job and goes idle.
+            wait_in_store(service.store, first["id"], ("done",), 120)
+            time.sleep(0.2)
+            (pid,) = pool.pids()
+            os.kill(pid, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while pool.counters()["restarts"] < 1:
+                assert time.monotonic() < deadline, "no respawn"
+                time.sleep(0.02)
+
+            posted = []
+            poster = threading.Thread(
+                target=lambda: posted.append(
+                    service.handle("POST", "/v1/jobs", body)
+                ),
+                daemon=True,
+            )
+            poster.start()
+            poster.join(timeout=5)
+            wedged = poster.is_alive()
+            assert not wedged, "POST /v1/jobs hung after a worker died idle"
+            status, second, _ = posted[0]
+            assert status == 202
+            done = wait_in_store(service.store, second["id"], ("done",), 30)
+            assert done.worker != f"w0-{pid}"
+        finally:
+            if wedged:
+                # A drain would block on the same wake: kill outright.
+                for proc_pid in pool.pids():
+                    try:
+                        os.kill(proc_pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+            else:
+                assert pool.drain(timeout=30)
+            service.close()
+
+
 class TestBackpressure:
     def test_full_queue_is_429_with_retry_after(self, tmp_path):
         """`start_runner=False` freezes the queue, so the depth cap is
